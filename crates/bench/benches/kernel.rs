@@ -1,5 +1,5 @@
 //! Criterion A/B of the antidiagonal kernel implementations
-//! (`Scalar` vs `Chunked` vs `Simd`) on DNA workloads.
+//! (`Scalar` vs `Chunked` vs `Batched`) on DNA workloads.
 //!
 //! Two axes: steady band width (pinned with `BandPolicy::Saturate`
 //! on identical sequences and a huge X, so every kernel sweeps

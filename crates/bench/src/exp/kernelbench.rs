@@ -29,7 +29,7 @@ use xdrop_core::XDropParams;
 /// One measured (kernel × configuration) cell.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Row {
-    /// Kernel name (`scalar` / `chunked` / `simd` / `batched`).
+    /// Kernel name (`scalar` / `chunked` / `batched`).
     pub kernel: String,
     /// Benchmark configuration label.
     pub config: String,

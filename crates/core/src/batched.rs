@@ -1,25 +1,31 @@
-//! Inter-sequence batched kernel: many alignments per vector.
+//! Batched lane kernel: many independent alignments, one register
+//! sweep per antidiagonal.
 //!
-//! The lane-parallel kernels of [`crate::kernel`] vectorize *within*
-//! one antidiagonal and plateau once the live band is narrow — which
-//! on real long-read data it almost always is (§6.1). Scrooge
-//! (Lindegger et al.) and LOGAN (Zeni et al.) both get their large
-//! factors from the *other* axis: packing 8–32 **independent**
-//! alignments into each vector register, one alignment per lane, so
-//! the register is full even when every band is one cell wide. This
-//! module is that inter-sequence kernel ([`KernelKind::Batched`]):
+//! This is [`KernelKind::Batched`], the default kernel. A batch of
+//! independent alignments shares one engine: each alignment owns a
+//! *lane* — its rows in a shared arena plus its own scalar-reference
+//! state machine — and the engine advances the lanes one after
+//! another, [`BURST_ROUNDS`] antidiagonals at a time. Within a round
+//! the fused sweep vectorizes *along* the lane's antidiagonal in
+//! saturating `i16` cells, so a register holds 8–32 cells of one
+//! alignment, not one cell of each of 8–32 alignments. What batching
+//! buys is the shared arena, refill and amortized fixed costs; true
+//! one-alignment-per-register-lane packing for narrow bands is not
+//! implemented. The design:
 //!
 //! * **Persistent lane-major staging** — each lane owns one row in a
 //!   three-plane rolling arena (row pitch = band capacity + 2 pad
 //!   cells). Round *d* writes its classified antidiagonal into plane
 //!   `d mod 3`; the `sl`/`su` operands of round *d* are index-shifted
 //!   *views* of the plane written in round *d−1* and the `sd` operand
-//!   a view of round *d−2* — the per-operand `copy_from_slice`
-//!   staging of the earlier kernel (≈14 B of buffer traffic per
-//!   staged cell) disappears. Even the substitution scores are never
-//!   staged: the sweep compares the sentinel-padded sequence copies
-//!   (materialized once per task, see [`Lane::enter`]) in-register,
-//!   so per-round staging traffic is exactly zero bytes.
+//!   a view of round *d−2*, so no DP operand is ever copied. The
+//!   substitution scores are never staged either: the sweep compares
+//!   sentinel-padded sequence *windows* in-register. At the top of
+//!   each burst the lane stages only the sequence bytes the next
+//!   [`BURST_ROUNDS`] rounds can read (see `SeqWindow`), so a lane's
+//!   whole working set is O(δ_b + [`BURST_ROUNDS`]) bytes — the
+//!   paper's two-antidiagonal space bound, independent of sequence
+//!   length.
 //! * **Live-lane compaction with mid-flight refill** — X-Drop's early
 //!   exits retire lanes at wildly different rounds. Instead of
 //!   sweeping a pack until its slowest member terminates, a lane that
@@ -67,32 +73,35 @@
 //! beyond the trailing pad — left over from round `d−3` of the same
 //! lane or from a previous slot occupant — are therefore never read.
 //! The substitution compare runs unconditionally over the whole
-//! candidate interval against sentinel-padded sequence copies
-//! ([`SEQ_PAD`]): at the interval ends where a sequence index leaves
-//! the real symbols, the compared `sd` parent is a pad or canonical
-//! dropped cell, and `NEG_INF16 + s ≤ DROP16` for every
-//! `|s| ≤ MAX_STEP`, so the compare's outcome there is never
-//! observable.
+//! candidate interval against sentinel-padded sequence windows
+//! ([`SEQ_PAD`], `SeqWindow`): at the interval ends where a
+//! sequence index leaves the real symbols, the compared `sd` parent
+//! is a pad or canonical dropped cell, and `NEG_INF16 + s ≤ DROP16`
+//! for every `|s| ≤ MAX_STEP`, so the compare's outcome there is
+//! never observable. The same monotonicity bounds which sequence
+//! bytes a burst can read, which is what lets a window replace a
+//! whole-sequence copy.
 //!
 //! ## Bit-identity is still the contract
 //!
 //! Exactly as for the intra-antidiagonal kernels, every task's
 //! [`AlignOutput`] (result *and* every [`AlignStats`] field) and
 //! every [`BandPolicy::Exact`] error must match what the scalar
-//! reference [`xdrop2::align_views_ty`] produces for that task on a
+//! reference [`crate::xdrop2::align_views_ty`] produces for that task on a
 //! fresh workspace. Lanes that cannot be proven exact (overflow) are
 //! re-run through that reference, so the contract holds by
 //! construction on the rerun path and by the guard-band argument on
 //! the fast path. Configurations the `i16` domain cannot model at
 //! all (matrix scorers, score steps above [`MAX_STEP`], positive gap
-//! penalties) take a per-task scalar fallback, counted in
-//! [`BatchReport::fallbacks`].
+//! penalties) run each task through the [`KernelKind::Chunked`]
+//! sweep instead, counted in [`BatchReport::fallbacks`].
 
 use crate::error::{AlignError, Result};
+use crate::kernel::KernelKind;
 use crate::scoring::{MatchMismatch, Scorer};
 use crate::seqview::{Fwd, Rev};
 use crate::stats::{AlignOutput, AlignResult, AlignStats};
-use crate::xdrop2::{self, BandPolicy, Workspace};
+use crate::xdrop2::{BandPolicy, Workspace};
 use crate::XDropParams;
 
 /// `-∞` sentinel of the `i16` lane domain — `i16::MIN / 4`, mirroring
@@ -132,8 +141,8 @@ const HIGH_GUARD: i32 = i16::MAX as i32 - MAX_STEP;
 /// Lower guard of the live-value band: `DROP16 + MAX_STEP`.
 const LOW_GUARD: i32 = DROP16 as i32 + MAX_STEP;
 
-/// A directional byte-slice view of one task sequence — the owned
-/// (lifetime-bound, object-safe-free) analogue of
+/// A directional byte-slice view of one task sequence — the
+/// lifetime-bound, non-generic analogue of
 /// [`crate::seqview::SeqView`] the batch API takes, so a batch can
 /// mix left extensions (reverse access) and right extensions
 /// (forward access) in the same lane group.
@@ -169,26 +178,20 @@ impl TaskView<'_> {
         }
     }
 
-    /// Forward-order copy: physical index `i` holds logical symbol
-    /// `i`, so the staging hot loop indexes a plain slice instead of
-    /// branching on the direction per cell.
-    fn materialize(&self) -> Vec<u8> {
+    /// Appends logical symbols `lo..hi` in **reverse** order (logical
+    /// `hi − 1` first) to `out`.
+    fn extend_rev(&self, lo: usize, hi: usize, out: &mut Vec<u8>) {
         match self {
-            TaskView::Fwd(s) => s.to_vec(),
-            TaskView::Rev(s) => s.iter().rev().copied().collect(),
+            TaskView::Fwd(s) => out.extend(s[lo..hi].iter().rev()),
+            TaskView::Rev(s) => out.extend_from_slice(&s[s.len() - hi..s.len() - lo]),
         }
     }
 
-    /// Reverse-order copy: physical index `t` holds logical symbol
-    /// `len − 1 − t`. On antidiagonal `d` the substitution compare
-    /// reads logical `H` symbol `d − i − 1` for cell `i`; against
-    /// this copy that is physical index `len − d + i` — *forward* in
-    /// `i` — so the compare runs over two forward slices and
-    /// autovectorizes.
-    fn materialize_rev(&self) -> Vec<u8> {
+    /// Appends logical symbols `lo..hi` in forward order to `out`.
+    fn extend_fwd(&self, lo: usize, hi: usize, out: &mut Vec<u8>) {
         match self {
-            TaskView::Fwd(s) => s.iter().rev().copied().collect(),
-            TaskView::Rev(s) => s.to_vec(),
+            TaskView::Fwd(s) => out.extend_from_slice(&s[lo..hi]),
+            TaskView::Rev(s) => out.extend(s[s.len() - hi..s.len() - lo].iter().rev()),
         }
     }
 }
@@ -225,7 +228,7 @@ pub struct BatchReport {
     /// through the scalar `i32` reference.
     pub reruns: usize,
     /// Tasks that never entered the `i16` path (ineligible scorer or
-    /// score magnitudes) and ran the scalar reference directly.
+    /// score magnitudes) and ran the [`KernelKind::Chunked`] sweep.
     pub fallbacks: usize,
     /// Engine rounds that swept at least one lane.
     pub rounds: u64,
@@ -235,32 +238,27 @@ pub struct BatchReport {
     /// `i16` cells scored in lanes (Σ of swept candidate widths; the
     /// overflow-rerun and fallback cells are not lane cells).
     pub lane_cells: u64,
-    /// Bytes copied into staging state: materialized sequence copies,
-    /// arena row resets at lane entry, and arena-growth row moves.
-    /// Per-round staging is zero — operands are views of persistent
-    /// rows and the substitution compare is fused into the sweep. The
-    /// pre-refill kernel's equivalent figure was ≈14 B per staged
-    /// slot (seven operand buffers re-filled per round); see
+    /// Bytes copied into staging state: arena row resets at lane
+    /// entry, the per-burst sequence windows, and arena-growth row
+    /// moves. Per-round staging is zero — operands are views of
+    /// persistent rows and the substitution compare is fused into the
+    /// sweep. The pre-refill kernel's equivalent figure was ≈14 B per
+    /// staged slot (seven operand buffers re-filled per round); see
     /// [`BatchReport::staged_bytes_per_cell`].
     pub staged_bytes: u64,
     /// Mid-flight slot refills: lanes entered while the pack was
     /// already live (0 in no-refill mode, where slots only refill
     /// after the whole pack drains).
     pub refills: usize,
-    /// Tasks whose sequences were materialized into forward/reverse
-    /// copies — exactly once per task entering the `i16` path; rerun
-    /// and fallback paths run on the original views and never
-    /// re-materialize.
-    pub materializations: usize,
     /// Nanoseconds in the per-round prologue (interval geometry and
     /// band policy; 0 unless the `batch-profile` feature is enabled).
     /// Profiling laps the clock inside the burst loop, so enabling
     /// the feature costs real time — the split stays meaningful, the
     /// total does not.
     pub prologue_ns: u64,
-    /// Nanoseconds staging persistent lane state — refill-time
-    /// sequence materialization and row resets, plus arena growth (0
-    /// unless profiled). There is no per-round staging to attribute.
+    /// Nanoseconds staging lane state — row resets at lane entry,
+    /// per-burst sequence windows, and arena growth (0 unless
+    /// profiled). There is no per-round staging to attribute.
     pub stage_ns: u64,
     /// Nanoseconds in the fused sweep (substitution compare + DP +
     /// cutoff + reductions; 0 unless profiled).
@@ -483,7 +481,7 @@ impl SweepBackend {
 /// required because a positive gap could walk a canonical dropped
 /// value back into the live range in `i16` where the `i32` sentinel
 /// would have stayed dropped.
-fn eligible<S: Scorer>(scorer: &S) -> Option<MatchMismatch> {
+pub fn eligible<S: Scorer>(scorer: &S) -> Option<MatchMismatch> {
     let mm = scorer.as_match_mismatch()?;
     let ok = mm.match_score.abs() <= MAX_STEP
         && mm.mismatch_score.abs() <= MAX_STEP
@@ -492,31 +490,35 @@ fn eligible<S: Scorer>(scorer: &S) -> Option<MatchMismatch> {
     ok.then_some(mm)
 }
 
-/// Runs one task through the scalar `i32` reference on a fresh
-/// workspace — the oracle the batch results are pinned to, and the
-/// rerun/fallback path. Operates on the original [`TaskView`] borrows
-/// directly: no sequence is materialized here, so a rerun or fallback
-/// never repeats the copy a lane already paid for
-/// ([`BatchReport::materializations`] counts lane entries only).
-fn scalar_task<S: Scorer>(
+/// Runs one task alone through `kind` (never [`KernelKind::Batched`])
+/// with fresh-workspace semantics: `ws` is cleared first, so only its
+/// allocation carries over between tasks. [`KernelKind::Scalar`] is
+/// the oracle the batch results are pinned to and the overflow-rerun
+/// path; [`KernelKind::Chunked`] serves the tasks the `i16` lanes
+/// cannot model. Operates on the original [`TaskView`] borrows.
+fn task_alone<S: Scorer>(
+    kind: KernelKind,
     task: &BatchTask<'_>,
     scorer: &S,
     params: XDropParams,
     policy: BandPolicy,
+    ws: &mut Workspace<i32>,
 ) -> Result<AlignOutput> {
-    let mut ws = Workspace::<i32>::new();
+    use crate::kernel::align_views;
+    debug_assert_ne!(kind, KernelKind::Batched);
+    ws.reset_len();
     match (task.h, task.v) {
         (TaskView::Fwd(h), TaskView::Fwd(v)) => {
-            xdrop2::align_views_ty(&Fwd(h), &Fwd(v), scorer, params, policy, &mut ws)
+            align_views(kind, &Fwd(h), &Fwd(v), scorer, params, policy, ws)
         }
         (TaskView::Fwd(h), TaskView::Rev(v)) => {
-            xdrop2::align_views_ty(&Fwd(h), &Rev(v), scorer, params, policy, &mut ws)
+            align_views(kind, &Fwd(h), &Rev(v), scorer, params, policy, ws)
         }
         (TaskView::Rev(h), TaskView::Fwd(v)) => {
-            xdrop2::align_views_ty(&Rev(h), &Fwd(v), scorer, params, policy, &mut ws)
+            align_views(kind, &Rev(h), &Fwd(v), scorer, params, policy, ws)
         }
         (TaskView::Rev(h), TaskView::Rev(v)) => {
-            xdrop2::align_views_ty(&Rev(h), &Rev(v), scorer, params, policy, &mut ws)
+            align_views(kind, &Rev(h), &Rev(v), scorer, params, policy, ws)
         }
     }
 }
@@ -616,13 +618,15 @@ pub fn align_batch_with_backend<S: Scorer>(
         Some(mm) => {
             report.buckets = tasks.len().div_ceil(lanes);
             let order = task_order(tasks);
+            // A batch smaller than the lane count never fills the
+            // spare slots: size the arena to the slots it can use.
             run_engine(
                 tasks,
                 &order,
                 &mm,
                 params,
                 policy,
-                lanes,
+                lanes.min(tasks.len()),
                 refill,
                 backend,
                 &mut out,
@@ -630,8 +634,16 @@ pub fn align_batch_with_backend<S: Scorer>(
             );
         }
         None => {
+            let mut ws = Workspace::new();
             for (task, slot) in tasks.iter().zip(out.iter_mut()) {
-                *slot = Some(scalar_task(task, scorer, params, policy));
+                *slot = Some(task_alone(
+                    KernelKind::Chunked,
+                    task,
+                    scorer,
+                    params,
+                    policy,
+                    &mut ws,
+                ));
                 report.fallbacks += 1;
             }
         }
@@ -648,20 +660,12 @@ pub fn align_batch_with_backend<S: Scorer>(
 /// machine, advanced one antidiagonal per round. Lanes are fully
 /// independent: the only shared structure is the arena allocation,
 /// in which each lane owns its own rows.
-struct Lane {
+struct Lane<'a> {
     task: usize,
-    /// Reverse-order copy of the `H` view (see
-    /// [`TaskView::materialize_rev`] for why reversed) with one
-    /// [`SEQ_PAD`] sentinel appended at index `m`; made once at lane
-    /// entry and reused for every round. On antidiagonal `d`, cell
-    /// `i` reads `hpad[m + i − d]` — in bounds for the whole
-    /// candidate interval (`i ≤ d` geometrically, with `i = d`
-    /// landing on the sentinel).
-    hpad: Vec<u8>,
-    /// Forward-order copy of the `V` view with one [`SEQ_PAD`]
-    /// sentinel *prepended*: cell `i` reads `vpad[i]` (logical
-    /// `V[i − 1]`), with `i = 0` landing on the sentinel.
-    vpad: Vec<u8>,
+    /// The task's sequences, borrowed: the lane never copies them
+    /// whole, it stages one [`SeqWindow`] per burst.
+    h: TaskView<'a>,
+    v: TaskView<'a>,
     m: usize,
     n: usize,
     /// The lane's own antidiagonal counter. Refill desynchronizes
@@ -670,8 +674,6 @@ struct Lane {
     d: usize,
     /// `cand_lo` of the row each arena plane holds for this lane.
     bases: [usize; 3],
-    /// Width of the row each arena plane holds (0 = no row yet).
-    widths: [usize; 3],
     /// Virtual workspace capacity with fresh-workspace semantics:
     /// starts at `δ_b`, doubles under [`BandPolicy::Grow`] exactly as
     /// `align_views_ty` grows a fresh [`Workspace`].
@@ -699,39 +701,95 @@ enum LaneState {
     Failed(AlignError),
 }
 
-/// Sequence pad sentinel: `hpad[m]` and `vpad[0]` hold this value so
-/// the fused substitution compare runs over the full candidate
-/// interval with no per-cell bounds logic. Correctness does not
-/// depend on the sentinel's value at all: a pad byte is only read for
-/// cells whose diagonal (`sd`) parent is a `−∞` pad or canonical
-/// dropped cell — where the compare's outcome is unobservable (see
-/// the module padding invariants) — and the two pads can never face
-/// *each other* (`i = 0` and `i = d` coincide only at `d = 0`, before
-/// the first round).
+/// Sequence pad sentinel: `hpad[m]` and `vpad[0]` (see [`SeqWindow`])
+/// hold this value so the fused substitution compare runs over the
+/// full candidate interval with no per-cell bounds logic. Correctness
+/// does not depend on the sentinel's value at all: a pad byte is only
+/// read for cells whose diagonal (`sd`) parent is a `−∞` pad or
+/// canonical dropped cell — where the compare's outcome is
+/// unobservable (see the module padding invariants) — and the two
+/// pads can never face *each other* (`i = 0` and `i = d` coincide
+/// only at `d = 0`, before the first round).
 const SEQ_PAD: u8 = u8::MAX;
 
-impl Lane {
-    /// Builds the lane state for `tasks[task]` — the one place a
-    /// task's sequences are materialized.
-    fn enter(task: usize, t: &BatchTask<'_>, delta_b: usize) -> Lane {
+/// The sequence bytes one lane burst can read, staged at its top.
+///
+/// The fused sweep reads two *padded* sequences, never built whole:
+///
+/// * `hpad` — `H` reversed with one [`SEQ_PAD`] appended at index
+///   `m`. On antidiagonal `d`, cell `i` reads `hpad[m + i − d]`
+///   (logical `H[d − i − 1]`): forward in `i`, so the compare runs
+///   over two forward slices and autovectorizes; `i = d` lands on the
+///   sentinel.
+/// * `vpad` — `V` with one [`SEQ_PAD`] prepended: cell `i` reads
+///   `vpad[i]` (logical `V[i − 1]`); `i = 0` lands on the sentinel.
+///
+/// `h` holds `hpad[h_lo..]` and `v` holds `vpad[v_lo..]`, sized by
+/// [`SeqWindow::stage`] for the next [`BURST_ROUNDS`] rounds of one
+/// lane. One window serves every lane in turn (lanes burst one after
+/// another), so its buffers only grow with the live band.
+#[derive(Default)]
+struct SeqWindow {
+    h: Vec<u8>,
+    h_lo: usize,
+    v: Vec<u8>,
+    v_lo: usize,
+}
+
+impl SeqWindow {
+    /// Stages the windows for `lane`'s next burst and returns the
+    /// bytes copied.
+    ///
+    /// Bounds: with `(d₀, L, H)` the lane's round and live interval
+    /// at the burst start, every round `d ∈ (d₀, d₀ + R]` has
+    /// `cand_lo(d) ≥ L` (the candidate interval's lower end is
+    /// monotone, Saturate clipping only raises it) and
+    /// `cand_hi(d) ≤ H + (d − d₀)` (it widens by at most one per
+    /// round). So the burst reads `vpad[L ..= min(H + R, n)]` and
+    /// `hpad[m + L − d₀ − R ..= m + H − d₀]` (clamped at 0). A Grow
+    /// re-pitch pauses the lane mid-burst; the next burst restages
+    /// from the lane's state then, so the bounds always hold.
+    fn stage(&mut self, lane: &Lane<'_>) -> u64 {
+        let (m, n, d0) = (lane.m, lane.n, lane.d);
+        let (lo, hi) = (lane.live_lo, lane.live_hi);
+        // vpad[v_lo ..= v_hi]: the sentinel if v_lo = 0, then
+        // V[max(v_lo, 1) − 1 .. v_hi].
+        self.v_lo = lo;
+        let v_hi = (hi + BURST_ROUNDS).min(n);
+        self.v.clear();
+        if lo == 0 {
+            self.v.push(SEQ_PAD);
+        }
+        lane.v.extend_fwd(lo.max(1) - 1, v_hi, &mut self.v);
+        // hpad[h_lo ..= h_hi]: H[m − 1 − h_lo] down to H[m − 1 − h_hi],
+        // then the sentinel if the window reaches index m.
+        self.h_lo = (m + lo).saturating_sub(d0 + BURST_ROUNDS);
+        let h_hi = m + hi - d0;
+        self.h.clear();
+        lane.h
+            .extend_rev(m - (h_hi + 1).min(m), m - self.h_lo, &mut self.h);
+        if h_hi == m {
+            self.h.push(SEQ_PAD);
+        }
+        (self.h.len() + self.v.len()) as u64
+    }
+}
+
+impl<'a> Lane<'a> {
+    /// Builds the lane state for `tasks[task]`.
+    fn enter(task: usize, t: &BatchTask<'a>, delta_b: usize) -> Lane<'a> {
         let (h, v) = (t.h, t.v);
         let (m, n) = (h.len(), v.len());
-        let mut hpad = h.materialize_rev();
-        hpad.push(SEQ_PAD);
-        let mut vpad = Vec::with_capacity(n + 1);
-        vpad.push(SEQ_PAD);
-        vpad.extend_from_slice(&v.materialize());
         Lane {
             task,
-            hpad,
-            vpad,
+            h,
+            v,
             m,
             n,
             d: 0,
-            bases: [0; 3],
             // Plane 0 (= round 0 mod 3) holds the seed row H[0] =
             // {cell 0} after the arena rows are reset.
-            widths: [1, 0, 0],
+            bases: [0; 3],
             cap: delta_b,
             best: AlignResult::empty(),
             t_best: 0,
@@ -834,8 +892,11 @@ fn grow_arena(
 /// fixed costs, not arithmetic, would otherwise bound the round rate
 /// — and small enough that a vacated slot waits at most this many
 /// rounds for its refill, which is well under 2% of the round count
-/// of any task long enough for occupancy to matter.
-const BURST_ROUNDS: usize = 64;
+/// of any task long enough for occupancy to matter. It also sizes the
+/// per-burst `SeqWindow`: a lane's working set is its three arena
+/// rows plus at most `2 · (live width + BURST_ROUNDS + 1)` window
+/// bytes.
+pub const BURST_ROUNDS: usize = 64;
 
 /// Runs the whole batch through one persistent lane pack: the scalar
 /// reference's control flow replicated per lane over the three-plane
@@ -873,6 +934,8 @@ fn run_engine(
     let mut stride = delta_b + 2;
     let mut planes: [Vec<i16>; 3] = std::array::from_fn(|_| vec![NEG_INF16; k * stride]);
     let mut slots: Vec<Option<Lane>> = (0..k).map(|_| None).collect();
+    let mut win = SeqWindow::default();
+    let mut rerun_ws = Workspace::new();
     let mut next = 0usize;
 
     loop {
@@ -895,8 +958,7 @@ fn run_engine(
                         }
                         // Seed cell H[0][0] = 0 in plane 0, slot 1.
                         planes[0][rb + 1] = 0;
-                        report.materializations += 1;
-                        report.staged_bytes += (lane.m + lane.n) as u64 + 3 * 2 * stride as u64;
+                        report.staged_bytes += 3 * 2 * stride as u64;
                         if pack_live {
                             report.refills += 1;
                         }
@@ -921,6 +983,7 @@ fn run_engine(
             let Some(lane) = slot.as_mut() else { continue };
             let exec = lane_burst(
                 lane,
+                &mut win,
                 &mut planes,
                 s * stride,
                 stride,
@@ -964,7 +1027,8 @@ fn run_engine(
                 }),
                 LaneState::Overflowed => {
                     report.reruns += 1;
-                    scalar_task(&tasks[lane.task], mm, params, policy)
+                    let t = &tasks[lane.task];
+                    task_alone(KernelKind::Scalar, t, mm, params, policy, &mut rerun_ws)
                 }
                 LaneState::Failed(e) => Err(e),
                 LaneState::Active => unreachable!("finished lanes are not active"),
@@ -1088,8 +1152,7 @@ fn sweep_row_generic(
 /// the `i16` segment counters cannot wrap). The autovectorizer
 /// refused this factor on its own: the `u64` count accumulator pins
 /// loop-wide vectorization at two lanes, which is why the kernel
-/// lanes the body by hand exactly like [`crate::kernel`]'s `isa`
-/// modules do.
+/// lanes the body by hand.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[inline]
@@ -1577,9 +1640,10 @@ fn row_argmax(backend: SweepBackend, row: &[i16], mx: i16) -> usize {
 }
 
 /// Advances one lane by up to [`BURST_ROUNDS`] antidiagonal rounds —
-/// prologue, fused sweep, and reductions per round, exactly the
-/// scalar reference's control flow — and returns the number of rounds
-/// executed. Stops early when the lane leaves [`LaneState::Active`]
+/// first staging the lane's sequence bytes for those rounds into
+/// `win` ([`SeqWindow::stage`]), then prologue, fused sweep, and
+/// reductions per round, exactly the scalar reference's control flow
+/// — and returns the number of rounds executed. Stops early when the lane leaves [`LaneState::Active`]
 /// or when [`BandPolicy::Grow`] needs a wider arena pitch than
 /// `stride`: `need_stride` is raised and the paused round commits
 /// **nothing** (prologue mutations happen only once the round is sure
@@ -1596,7 +1660,8 @@ fn row_argmax(backend: SweepBackend, row: &[i16], mx: i16) -> usize {
 /// double-digit fraction of the kernel.
 #[allow(clippy::too_many_arguments)]
 fn lane_burst(
-    lane: &mut Lane,
+    lane: &mut Lane<'_>,
+    win: &mut SeqWindow,
     planes: &mut [Vec<i16>; 3],
     rb: usize,
     stride: usize,
@@ -1614,6 +1679,7 @@ fn lane_burst(
         SweepBackend::Avx512 => unsafe {
             lane_burst_avx512(
                 lane,
+                win,
                 planes,
                 rb,
                 stride,
@@ -1628,6 +1694,7 @@ fn lane_burst(
         SweepBackend::Avx2 => unsafe {
             lane_burst_avx2(
                 lane,
+                win,
                 planes,
                 rb,
                 stride,
@@ -1640,6 +1707,7 @@ fn lane_burst(
         },
         SweepBackend::Sse2 => lane_burst_impl(
             lane,
+            win,
             planes,
             rb,
             stride,
@@ -1652,6 +1720,7 @@ fn lane_burst(
         ),
         SweepBackend::Generic => lane_burst_impl(
             lane,
+            win,
             planes,
             rb,
             stride,
@@ -1668,6 +1737,7 @@ fn lane_burst(
         let _ = backend;
         lane_burst_impl(
             lane,
+            win,
             planes,
             rb,
             stride,
@@ -1687,7 +1757,8 @@ fn lane_burst(
 #[target_feature(enable = "avx512f,avx512bw")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn lane_burst_avx512(
-    lane: &mut Lane,
+    lane: &mut Lane<'_>,
+    win: &mut SeqWindow,
     planes: &mut [Vec<i16>; 3],
     rb: usize,
     stride: usize,
@@ -1699,6 +1770,7 @@ unsafe fn lane_burst_avx512(
 ) -> u64 {
     lane_burst_impl(
         lane,
+        win,
         planes,
         rb,
         stride,
@@ -1716,7 +1788,8 @@ unsafe fn lane_burst_avx512(
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn lane_burst_avx2(
-    lane: &mut Lane,
+    lane: &mut Lane<'_>,
+    win: &mut SeqWindow,
     planes: &mut [Vec<i16>; 3],
     rb: usize,
     stride: usize,
@@ -1728,6 +1801,7 @@ unsafe fn lane_burst_avx2(
 ) -> u64 {
     lane_burst_impl(
         lane,
+        win,
         planes,
         rb,
         stride,
@@ -1747,7 +1821,8 @@ unsafe fn lane_burst_avx2(
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn lane_burst_impl(
-    lane: &mut Lane,
+    lane: &mut Lane<'_>,
+    win: &mut SeqWindow,
     planes: &mut [Vec<i16>; 3],
     rb: usize,
     stride: usize,
@@ -1763,6 +1838,8 @@ fn lane_burst_impl(
     let (mat16, mis16) = (mm.match_score as i16, mm.mismatch_score as i16);
     let mut exec = 0u64;
     let mut timer = PhaseTimer::start();
+    report.staged_bytes += win.stage(lane);
+    report.stage_ns += timer.lap();
     for _ in 0..BURST_ROUNDS {
         // ---- Prologue: candidate interval and band policy on
         // locals; nothing commits before the arena-pitch check.
@@ -1830,7 +1907,7 @@ fn lane_burst_impl(
         // rounds d−1 (plane (d+2)%3) and d−2 (plane (d+1)%3), written
         // straight into plane d%3 — no operand staging, no writeback.
         // The substitution compare reads the sentinel-padded sequence
-        // copies directly, and the row max / live-min reductions ride
+        // windows directly, and the row max / live-min reductions ride
         // in the same pass.
         let cur = d % 3;
         let [a, b, c] = planes;
@@ -1861,8 +1938,8 @@ fn lane_burst_impl(
         // pad, so their value never matters there).
         let r1s = &r1[rb + off1..rb + off1 + width + 1];
         let r2s = &r2[rb + off2..rb + off2 + width];
-        let vs = &lane.vpad[cand_lo..cand_lo + width];
-        let hs = &lane.hpad[lane.m + cand_lo - d..lane.m + cand_lo - d + width];
+        let vs = &win.v[cand_lo - win.v_lo..][..width];
+        let hs = &win.h[lane.m + cand_lo - d - win.h_lo..][..width];
         let orow = &mut outp[rb..rb + width + 2];
         let sw = sweep_row(
             backend, r1s, r2s, vs, hs, orow, width, mat16, mis16, gap16, thr16,
@@ -1870,7 +1947,6 @@ fn lane_burst_impl(
         orow[0] = NEG_INF16; // leading pad
         orow[width + 1] = NEG_INF16; // trailing pad
         lane.bases[cur] = cand_lo;
-        lane.widths[cur] = width;
         report.lane_cells += width as u64;
         report.sweep_ns += timer.lap();
 
@@ -1924,6 +2000,18 @@ mod tests {
 
     fn sc() -> MatchMismatch {
         MatchMismatch::dna_default()
+    }
+
+    /// The oracle: `task` alone through the scalar reference on a
+    /// fresh workspace.
+    fn scalar_task<S: Scorer>(
+        task: &BatchTask<'_>,
+        scorer: &S,
+        params: XDropParams,
+        policy: BandPolicy,
+    ) -> Result<AlignOutput> {
+        let mut ws = Workspace::new();
+        task_alone(KernelKind::Scalar, task, scorer, params, policy, &mut ws)
     }
 
     /// Phase-profile harness: `cargo test -p xdrop-core --release \
@@ -2110,7 +2198,6 @@ mod tests {
         );
         assert_eq!(report.fallbacks, tasks.len());
         assert_eq!(report.buckets, 0);
-        assert_eq!(report.materializations, 0, "fallbacks never materialize");
         // Oversized score steps likewise.
         let big = MatchMismatch::new(MAX_STEP + 1, -1, -1);
         let (_, report) = align_batch(&tasks, &big, XDropParams::new(9), BandPolicy::Grow(4));
@@ -2229,11 +2316,11 @@ mod tests {
         }
     }
 
-    /// One materialization per task, even when the lane overflows and
-    /// reruns through the scalar reference (the rerun runs on the
-    /// original views).
+    /// A lane that overflows mid-batch reruns through the scalar
+    /// reference on the original views, next to a lane that stays on
+    /// the fast path; both bit-match the oracle.
     #[test]
-    fn rerun_does_not_rematerialize() {
+    fn rerun_beside_fast_lane_matches_scalar() {
         let long: Vec<u8> = (0..i16::MAX as usize).map(|i| (i % 4) as u8).collect();
         let short = encode_dna(b"ACGTACGTACGTACGT");
         let tasks = [
@@ -2249,11 +2336,6 @@ mod tests {
         let (got, report) =
             align_batch_with_lanes(&tasks, &sc(), XDropParams::new(4), BandPolicy::Grow(4), 2);
         assert_eq!(report.reruns, 1);
-        assert_eq!(
-            report.materializations,
-            tasks.len(),
-            "exactly one materialization per task, rerun included"
-        );
         for (t, g) in tasks.iter().zip(&got) {
             let reference = scalar_task(t, &sc(), XDropParams::new(4), BandPolicy::Grow(4));
             assert_eq!(&reference, g);

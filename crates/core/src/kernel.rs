@@ -1,13 +1,25 @@
-//! Lane-parallel antidiagonal kernels with runtime dispatch.
+//! Kernel dispatch and the lane-parallel antidiagonal sweep.
 //!
-//! The scalar inner loop of [`crate::xdrop2::align_views_ty`] pays a
-//! per-cell branch for every liveness guard, a per-cell generic
-//! [`SeqView`] fetch, and a per-cell [`Scorer`] call. Scrooge
-//! (Lindegger et al.) and LOGAN (Zeni et al.) both show that
-//! X-Drop-style aligners are lane-bound and that a branch-free
-//! antidiagonal sweep is worth integer factors on commodity CPUs.
-//! This module restructures one antidiagonal sweep into three phases
-//! over contiguous slices:
+//! Three kernels implement the two-antidiagonal X-Drop recurrence of
+//! [`crate::xdrop2::align_views_ty`], and [`KernelKind`] picks one per
+//! call:
+//!
+//! * [`KernelKind::Batched`] — the default on every host
+//!   ([`KernelKind::detect`]). The lane kernel of
+//!   [`crate::batched`]: saturating `i16` cells, register-wide fused
+//!   rounds, and a working set of O(δ_b + `BURST_ROUNDS`) per lane that
+//!   does not depend on sequence length. It models match/mismatch
+//!   scoring in `i32` cells; everything else it hands to `Chunked`.
+//! * [`KernelKind::Chunked`] — the intra-antidiagonal sweep in this
+//!   module, the matrix-scorer (BLOSUM62) and `f32`-cell path.
+//! * [`KernelKind::Scalar`] — the per-cell reference loop, kept as the
+//!   oracle every other kernel is pinned to.
+//!
+//! The chunked sweep restructures one antidiagonal into three phases
+//! over contiguous slices. Scrooge (Lindegger et al.) and LOGAN (Zeni
+//! et al.) both show that a branch-free antidiagonal sweep beats the
+//! per-cell branches, generic [`SeqView`] fetches and [`Scorer`] calls
+//! of the scalar loop:
 //!
 //! 1. **Stage** — snapshot the segment of antidiagonal `d − 2` the
 //!    sweep will read into the workspace's scratch buffer *before*
@@ -21,16 +33,15 @@
 //!    candidate interval (the cells whose three neighbours are all
 //!    stored: a contiguous range, because each guard is an interval)
 //!    in fixed-width [`CHUNK`]-cell slices with no per-cell guards.
-//!    The few boundary cells keep the scalar per-cell path. The
-//!    [`KernelKind::Chunked`] sweep is plain Rust written for the
-//!    autovectorizer; [`KernelKind::Simd`] issues explicit SSE4.1 (or
-//!    NEON) `std::arch` intrinsics for the `i32` match/mismatch
-//!    (DNA) case, turning the scoring into a vector
-//!    compare-and-select instead of a gather.
+//!    The few boundary cells keep the scalar per-cell path. The `i32`
+//!    match/mismatch case runs a compare-and-select body written for
+//!    the autovectorizer; every other case runs a generic chunk body.
 //! 3. **Cutoff** — apply the X-Drop threshold and fold the liveness
 //!    reductions (band bounds, per-diagonal best, global best) chunk
 //!    at a time: a per-chunk max-reduction decides whether the
 //!    strictly-ordered "first maximum wins" scan needs to run at all.
+//!    `i32` cells (every scorer, BLOSUM62 included) take a branch-free
+//!    classify, so its cost does not depend on the band's shape.
 //!
 //! ## Bit-identity is the contract
 //!
@@ -47,8 +58,8 @@
 //! results and never modeled time.
 //!
 //! The one numeric subtlety: the scalar kernel uses `saturating_add`
-//! for `i32` cells while the SIMD lanes use wrapping `padd`. These
-//! agree because every stored cell is bounded below by
+//! for `i32` cells while the `i32` chunk body uses wrapping adds.
+//! These agree because every stored cell is bounded below by
 //! `NEG_INF + k·min(gap, mis)` with `k` at most the number of sweeps
 //! (sequences would need to be ~10⁹ symbols long before a sum could
 //! reach `i32::MIN`), and `NEG_INF = i32::MIN / 4` leaves exactly
@@ -66,10 +77,9 @@ use crate::{XDropParams, NEG_INF};
 pub const CHUNK: usize = 16;
 
 /// Environment variable forcing the kernel choice, overriding
-/// hardware detection: `scalar`, `chunked`, `simd`, `batched`, or
-/// `auto`. Unknown values fall back to detection with a one-time
-/// stderr warning. Intended for tests and for A/B runs of the bench
-/// harness.
+/// detection: `scalar`, `chunked`, `batched`, or `auto`. Unknown
+/// values fall back to detection with a one-time stderr warning.
+/// Intended for tests and for A/B runs of the bench harness.
 pub const KERNEL_ENV: &str = "XDROP_KERNEL";
 
 /// Which antidiagonal inner-loop implementation to run.
@@ -83,33 +93,15 @@ pub enum KernelKind {
     /// Branch-free fixed-width chunks over contiguous slices, written
     /// for the autovectorizer; works for every score type and scorer.
     Chunked,
-    /// Explicit `std::arch` SSE4.1/NEON lanes for the `i32`
-    /// match/mismatch (DNA) case; every other configuration falls
-    /// back to the `Chunked` sweep per sub-kernel.
-    Simd,
-    /// Inter-sequence batching ([`crate::batched`]): 8–32 independent
-    /// alignments share each vector register in `i16` lanes, with
-    /// length bucketing and an overflow-rerun safety net. Selected
-    /// explicitly (never by [`KernelKind::detect`]) because its
-    /// payoff comes from the slice-of-comparisons entry points in the
+    /// The lane kernel of [`crate::batched`]: saturating `i16` cells
+    /// swept a register at a time, with an overflow-rerun safety net
+    /// and a per-lane working set independent of sequence length.
+    /// What [`KernelKind::detect`] returns on every host. Its payoff
+    /// is largest through the slice-of-comparisons entry points of the
     /// executor; through the single-comparison API it runs a batch of
-    /// one.
+    /// one. Scorers and cell types the `i16` lanes cannot model run
+    /// the [`KernelKind::Chunked`] sweep instead.
     Batched,
-}
-
-#[cfg(target_arch = "x86_64")]
-fn simd_available() -> bool {
-    std::arch::is_x86_feature_detected!("sse4.1")
-}
-
-#[cfg(target_arch = "aarch64")]
-fn simd_available() -> bool {
-    std::arch::is_aarch64_feature_detected!("neon")
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn simd_available() -> bool {
-    false
 }
 
 /// The widest SIMD capability detected on this host, as a stable
@@ -172,45 +164,35 @@ pub(crate) fn warn_unknown_env(once: &std::sync::Once, var: &str, value: &str, f
 
 impl KernelKind {
     /// Every kernel, scalar first (bench/report ordering).
-    pub const ALL: [KernelKind; 4] = [
-        KernelKind::Scalar,
-        KernelKind::Chunked,
-        KernelKind::Simd,
-        KernelKind::Batched,
-    ];
+    pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Chunked, KernelKind::Batched];
 
-    /// Stable lower-case name (`scalar` / `chunked` / `simd` /
-    /// `batched`).
+    /// Stable lower-case name (`scalar` / `chunked` / `batched`).
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Chunked => "chunked",
-            KernelKind::Simd => "simd",
             KernelKind::Batched => "batched",
         }
     }
 
     /// Parses a kernel name as accepted by [`KERNEL_ENV`]; `auto`
-    /// resolves through hardware detection.
+    /// resolves through [`KernelKind::detect`].
     pub fn parse(s: &str) -> Option<KernelKind> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelKind::Scalar),
             "chunked" => Some(KernelKind::Chunked),
-            "simd" => Some(KernelKind::Simd),
             "batched" => Some(KernelKind::Batched),
             "auto" => Some(KernelKind::detect()),
             _ => None,
         }
     }
 
-    /// Hardware detection: `Simd` where SSE4.1 (x86-64) or NEON
-    /// (aarch64) is available at runtime, `Chunked` otherwise.
+    /// The default kernel: [`KernelKind::Batched`] on every host. Its
+    /// register backend is detected separately, per burst
+    /// ([`crate::batched::SweepBackend::resolved`]), and the generic
+    /// backend runs anywhere.
     pub fn detect() -> KernelKind {
-        if simd_available() {
-            KernelKind::Simd
-        } else {
-            KernelKind::Chunked
-        }
+        KernelKind::Batched
     }
 
     /// [`KernelKind::detect`] unless [`KERNEL_ENV`] forces a kernel.
@@ -253,8 +235,10 @@ impl KernelKind {
 }
 
 /// Runs the selected kernel. `Scalar` routes to the reference
-/// implementation unchanged; `Chunked`/`Simd` run the three-phase
-/// lane-parallel loop.
+/// implementation unchanged; `Chunked` runs the three-phase
+/// lane-parallel loop; `Batched` runs a batch of one through
+/// [`crate::batched`] when its `i16` lanes can model the scorer and
+/// cell type, and the `Chunked` loop otherwise.
 pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     kind: KernelKind,
     h: &HV,
@@ -266,12 +250,9 @@ pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 ) -> Result<AlignOutput> {
     match kind {
         KernelKind::Scalar => xdrop2::align_views_ty(h, v, scorer, params, policy, ws),
-        KernelKind::Chunked | KernelKind::Simd => {
-            let explicit_simd = kind == KernelKind::Simd && simd_available();
-            lane_parallel(h, v, scorer, params, policy, ws, explicit_simd)
-        }
+        KernelKind::Chunked => lane_parallel(h, v, scorer, params, policy, ws),
         KernelKind::Batched => {
-            // The inter-sequence kernel's natural entry point is
+            // The lane kernel's natural entry point is
             // `crate::batched::align_batch` over a *slice* of tasks
             // (the executor hands it whole claims); through the
             // single-comparison API it runs a batch of one. It owns
@@ -280,27 +261,21 @@ pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
             // reported `work_bytes` match the scalar reference on a
             // *fresh* workspace (a reused pre-grown workspace would
             // legitimately report more; every other field is
-            // workspace-independent).
-            if T::as_i32_slice(&[]).is_some() {
-                let ho = crate::seqview::collect_view(h);
-                let vo = crate::seqview::collect_view(v);
-                let task = crate::batched::BatchTask {
-                    h: crate::batched::TaskView::Fwd(&ho),
-                    v: crate::batched::TaskView::Fwd(&vo),
-                };
-                let (mut results, _) = crate::batched::align_batch(
-                    std::slice::from_ref(&task),
-                    scorer,
-                    params,
-                    policy,
-                );
-                results.pop().expect("batch of one")
-            } else {
-                // Non-i32 cells (the f32 dual-issue variant) have no
-                // i16 lane mapping; the scalar reference is the
-                // definitionally bit-identical fallback.
-                xdrop2::align_views_ty(h, v, scorer, params, policy, ws)
+            // workspace-independent). Matrix scorers and non-i32
+            // cells (the f32 dual-issue variant) have no i16 lane
+            // mapping and run the chunked sweep on `ws`.
+            if T::as_i32_slice(&[]).is_none() || crate::batched::eligible(scorer).is_none() {
+                return lane_parallel(h, v, scorer, params, policy, ws);
             }
+            let ho = crate::seqview::collect_view(h);
+            let vo = crate::seqview::collect_view(v);
+            let task = crate::batched::BatchTask {
+                h: crate::batched::TaskView::Fwd(&ho),
+                v: crate::batched::TaskView::Fwd(&vo),
+            };
+            let (mut results, _) =
+                crate::batched::align_batch(std::slice::from_ref(&task), scorer, params, policy);
+            results.pop().expect("batch of one")
         }
     }
 }
@@ -421,11 +396,9 @@ fn sweep_interior_chunked<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 }
 
 /// Interior sweep dispatch. For `i32` cells with a match/mismatch
-/// scorer, the sweep specializes to a branch-free lane loop — with
-/// explicit `std::arch` intrinsics when the caller detected the ISA
-/// (`Simd`), or as plain autovectorizable Rust otherwise (`Chunked`
-/// and non-x86/ARM hosts). Every other configuration (f32 cells,
-/// matrix scorers) takes the fully generic chunked sweep.
+/// scorer, the sweep specializes to a branch-free, autovectorizable
+/// lane loop. Every other configuration (f32 cells, matrix scorers)
+/// takes the fully generic chunked sweep.
 #[allow(clippy::too_many_arguments)]
 fn sweep_interior<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     int_lo: usize,
@@ -441,19 +414,10 @@ fn sweep_interior<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     scorer: &S,
     gap: i32,
     mm: Option<MatchMismatch>,
-    explicit_simd: bool,
 ) {
     if let Some(mm) = mm {
         if let (Some(prev_i), Some(scr_i)) = (T::as_i32_slice(prev), T::as_i32_slice(scratch)) {
             if let Some(cur_i) = T::as_i32_slice_mut(&mut *cur) {
-                #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-                if explicit_simd {
-                    sweep_interior_simd(
-                        int_lo, int_hi, d, cand_lo, off, cur_i, prev_i, scr_i, h, v, mm,
-                    );
-                    return;
-                }
-                let _ = explicit_simd;
                 sweep_interior_i32(
                     int_lo, int_hi, d, cand_lo, off, cur_i, prev_i, scr_i, h, v, mm,
                 );
@@ -515,65 +479,18 @@ fn sweep_interior_i32<HV: SeqView, VV: SeqView>(
     }
 }
 
-/// Explicit-SIMD interior sweep for `i32` DNA scoring: stages each
-/// chunk's symbols (one word-level unpack for [`crate::packing`]
-/// views), then hands contiguous lanes to the ISA-specific kernel.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-#[allow(clippy::too_many_arguments)]
-fn sweep_interior_simd<HV: SeqView, VV: SeqView>(
-    int_lo: usize,
-    int_hi: usize,
-    d: usize,
-    cand_lo: usize,
-    off: usize,
-    cur: &mut [i32],
-    prev: &[i32],
-    scratch: &[i32],
-    h: &HV,
-    v: &VV,
-    mm: MatchMismatch,
-) {
-    let mut vbuf = [0u8; CHUNK];
-    let mut hbuf = [0u8; CHUNK];
-    let mut i0 = int_lo;
-    while i0 <= int_hi {
-        let clen = CHUNK.min(int_hi - i0 + 1);
-        v.fill_fwd(i0 - 1, &mut vbuf[..clen]);
-        h.fill_rev(d - i0 - 1, &mut hbuf[..clen]);
-        // SAFETY: the dispatcher only selects this path after runtime
-        // detection of the target feature; all slice accesses are in
-        // bounds for the interior range (see the interval proof in
-        // `lane_parallel`).
-        unsafe {
-            isa::sweep_chunk(
-                cur,
-                prev,
-                scratch,
-                &vbuf,
-                &hbuf,
-                clen,
-                i0 - cand_lo,
-                off,
-                mm.match_score,
-                mm.mismatch_score,
-                mm.gap_penalty,
-            );
-        }
-        i0 += clen;
-    }
-}
-
 /// Cutoff + reduction over one ≤ [`CHUNK`]-cell slice, scalar
 /// reference semantics. Returns `(live_mask, chunk_max, drops)`:
 /// bit `k` of `live_mask` is set when cell `base + k` survives the
 /// X-Drop cutoff, `chunk_max` is the maximum surviving score, and
 /// `drops` counts cells pruned by this sweep's threshold.
-fn cutoff_chunk_scalar<T: ScoreTy>(
-    cur: &mut [T],
-    base: usize,
-    clen: usize,
-    thr: i32,
-) -> (u32, i32, u32) {
+///
+/// `i32` cells take [`cutoff_chunk_i32`], whose cost does not depend
+/// on how many cells survive.
+fn cutoff_chunk<T: ScoreTy>(cur: &mut [T], base: usize, clen: usize, thr: i32) -> (u32, i32, u32) {
+    if let Some(cur_i) = T::as_i32_slice_mut(&mut *cur) {
+        return cutoff_chunk_i32(&mut cur_i[base..base + clen], thr);
+    }
     let mut live_mask = 0u32;
     let mut drops = 0u32;
     let mut chunk_max = i32::MIN;
@@ -593,24 +510,26 @@ fn cutoff_chunk_scalar<T: ScoreTy>(
     (live_mask, chunk_max, drops)
 }
 
-/// [`cutoff_chunk_scalar`], vectorized for `i32` cells when the
-/// dispatcher enabled explicit SIMD.
-fn cutoff_chunk<T: ScoreTy>(
-    cur: &mut [T],
-    base: usize,
-    clen: usize,
-    thr: i32,
-    use_simd: bool,
-) -> (u32, i32, u32) {
-    #[cfg(target_arch = "x86_64")]
-    if use_simd {
-        if let Some(cur_i) = T::as_i32_slice_mut(&mut *cur) {
-            // SAFETY: `use_simd` implies SSE4.1 was detected.
-            return unsafe { isa::cutoff_chunk(cur_i, base, clen, thr) };
-        }
+/// [`cutoff_chunk`] for `i32` cells, branch-free: every cell is a
+/// compare and two selects written for the autovectorizer, so the
+/// X-Drop classify costs the same whatever share of the band survives
+/// (the data-dependent branches of the generic body mispredict on
+/// ragged bands). `c` is the chunk, at most [`CHUNK`] cells.
+fn cutoff_chunk_i32(c: &mut [i32], thr: i32) -> (u32, i32, u32) {
+    let mut live_mask = 0u32;
+    let mut drops = 0u32;
+    let mut chunk_max = i32::MIN;
+    for (k, s) in c.iter_mut().enumerate() {
+        let cell = *s;
+        let alive = cell > NEG_INF / 2;
+        let cut = alive & (cell < thr);
+        let kept = alive & !cut;
+        *s = if cut { NEG_INF } else { cell };
+        live_mask |= u32::from(kept) << k;
+        drops += u32::from(cut);
+        chunk_max = chunk_max.max(if kept { cell } else { i32::MIN });
     }
-    let _ = use_simd;
-    cutoff_chunk_scalar(cur, base, clen, thr)
+    (live_mask, chunk_max, drops)
 }
 
 /// The three-phase lane-parallel outer loop. Control flow (band
@@ -625,7 +544,6 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     params: XDropParams,
     policy: BandPolicy,
     ws: &mut Workspace<T>,
-    explicit_simd: bool,
 ) -> Result<AlignOutput> {
     let (m, n) = (h.len(), v.len());
     let delta = m.min(n) + 1;
@@ -758,20 +676,7 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
                 debug_assert!(cand_lo >= meta_prev.cand_lo);
                 let off = cand_lo - meta_prev.cand_lo;
                 sweep_interior(
-                    int_lo,
-                    int_hi,
-                    d,
-                    cand_lo,
-                    off,
-                    cur,
-                    prev,
-                    scratch,
-                    h,
-                    v,
-                    scorer,
-                    gap,
-                    mm,
-                    explicit_simd,
+                    int_lo, int_hi, d, cand_lo, off, cur, prev, scratch, h, v, scorer, gap, mm,
                 );
             }
             for i in (int_hi + 1).max(pro_end)..=cand_hi {
@@ -782,13 +687,11 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 
             // Phase 3: X-Drop cutoff + reductions, chunk at a time.
             let thr = t_best - x;
-            let use_simd_cut = explicit_simd;
             let mut base = 0usize;
             while base < width {
                 let clen = CHUNK.min(width - base);
                 stats.cells_computed += clen as u64;
-                let (live_mask, chunk_max, drops) =
-                    cutoff_chunk(cur, base, clen, thr, use_simd_cut);
+                let (live_mask, chunk_max, drops) = cutoff_chunk(cur, base, clen, thr);
                 stats.cells_dropped += u64::from(drops);
                 if live_mask != 0 {
                     any_live = true;
@@ -842,222 +745,6 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     })
 }
 
-/// SSE4.1 lanes for the `i32` DNA case (x86-64).
-#[cfg(target_arch = "x86_64")]
-mod isa {
-    use super::CHUNK;
-    use crate::NEG_INF;
-    use std::arch::x86_64::*;
-
-    /// Phase-2 chunk: compare-and-select scoring, select-based `-∞`
-    /// absorption, unguarded neighbour loads. Wrapping `padd` is
-    /// exact here (see the module docs on saturation headroom).
-    ///
-    /// # Safety
-    /// Requires SSE4.1 and `wbase + clen ≤ cur.len()`,
-    /// `wbase + off + clen ≤ prev.len()`, `wbase + off ≥ 1`.
-    #[target_feature(enable = "sse4.1")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn sweep_chunk(
-        cur: &mut [i32],
-        prev: &[i32],
-        scratch: &[i32],
-        vsym: &[u8; CHUNK],
-        hsym: &[u8; CHUNK],
-        clen: usize,
-        wbase: usize,
-        off: usize,
-        mat: i32,
-        mis: i32,
-        gap: i32,
-    ) {
-        debug_assert!(wbase + clen <= cur.len() && wbase + clen <= scratch.len());
-        debug_assert!(wbase + off + clen <= prev.len() && wbase + off >= 1);
-        let vmat = _mm_set1_epi32(mat);
-        let vmis = _mm_set1_epi32(mis);
-        let vgap = _mm_set1_epi32(gap);
-        let vneg = _mm_set1_epi32(NEG_INF);
-        let vliv = _mm_set1_epi32(NEG_INF / 2);
-        let mut k = 0usize;
-        while k + 4 <= clen {
-            let w = wbase + k;
-            let dold = _mm_loadu_si128(scratch.as_ptr().add(w) as *const __m128i);
-            let a = _mm_setr_epi32(
-                vsym[k] as i32,
-                vsym[k + 1] as i32,
-                vsym[k + 2] as i32,
-                vsym[k + 3] as i32,
-            );
-            let b = _mm_setr_epi32(
-                hsym[k] as i32,
-                hsym[k + 1] as i32,
-                hsym[k + 2] as i32,
-                hsym[k + 3] as i32,
-            );
-            let sim = _mm_blendv_epi8(vmis, vmat, _mm_cmpeq_epi32(a, b));
-            let live = _mm_cmpgt_epi32(dold, vliv);
-            let diag = _mm_blendv_epi8(vneg, _mm_add_epi32(dold, sim), live);
-            let left = _mm_add_epi32(
-                _mm_loadu_si128(prev.as_ptr().add(w + off) as *const __m128i),
-                vgap,
-            );
-            let up = _mm_add_epi32(
-                _mm_loadu_si128(prev.as_ptr().add(w + off - 1) as *const __m128i),
-                vgap,
-            );
-            let score = _mm_max_epi32(diag, _mm_max_epi32(left, up));
-            _mm_storeu_si128(cur.as_mut_ptr().add(w) as *mut __m128i, score);
-            k += 4;
-        }
-        while k < clen {
-            let w = wbase + k;
-            let dold = scratch[w];
-            let diag = if dold > NEG_INF / 2 {
-                dold.saturating_add(if vsym[k] == hsym[k] { mat } else { mis })
-            } else {
-                NEG_INF
-            };
-            let left = prev[w + off].saturating_add(gap);
-            let up = prev[w + off - 1].saturating_add(gap);
-            cur[w] = diag.max(left).max(up);
-            k += 1;
-        }
-    }
-
-    /// Phase-3 chunk: vector cutoff + movemask liveness +
-    /// max-reduction. Returns `(live_mask, chunk_max, drops)` with
-    /// the exact semantics of `cutoff_chunk_scalar`.
-    ///
-    /// # Safety
-    /// Requires SSE4.1 and `base + clen ≤ cur.len()`.
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn cutoff_chunk(
-        cur: &mut [i32],
-        base: usize,
-        clen: usize,
-        thr: i32,
-    ) -> (u32, i32, u32) {
-        debug_assert!(base + clen <= cur.len());
-        let vliv = _mm_set1_epi32(NEG_INF / 2);
-        let vthr = _mm_set1_epi32(thr);
-        let vneg = _mm_set1_epi32(NEG_INF);
-        let vmin = _mm_set1_epi32(i32::MIN);
-        let mut vmax = vmin;
-        let mut live_mask = 0u32;
-        let mut drops = 0u32;
-        let mut k = 0usize;
-        while k + 4 <= clen {
-            let p = cur.as_mut_ptr().add(base + k);
-            let s = _mm_loadu_si128(p as *const __m128i);
-            let live0 = _mm_cmpgt_epi32(s, vliv);
-            let cut = _mm_and_si128(live0, _mm_cmplt_epi32(s, vthr));
-            let s2 = _mm_blendv_epi8(s, vneg, cut);
-            _mm_storeu_si128(p as *mut __m128i, s2);
-            let live = _mm_andnot_si128(cut, live0);
-            live_mask |= (_mm_movemask_ps(_mm_castsi128_ps(live)) as u32) << k;
-            drops += (_mm_movemask_ps(_mm_castsi128_ps(cut)) as u32).count_ones();
-            vmax = _mm_max_epi32(vmax, _mm_blendv_epi8(vmin, s2, live));
-            k += 4;
-        }
-        let m1 = _mm_max_epi32(vmax, _mm_shuffle_epi32(vmax, 0x4E));
-        let m2 = _mm_max_epi32(m1, _mm_shuffle_epi32(m1, 0xB1));
-        let mut chunk_max = _mm_cvtsi128_si32(m2);
-        while k < clen {
-            let s = cur[base + k];
-            if s > NEG_INF / 2 {
-                if s < thr {
-                    cur[base + k] = NEG_INF;
-                    drops += 1;
-                } else {
-                    live_mask |= 1 << k;
-                    chunk_max = chunk_max.max(s);
-                }
-            }
-            k += 1;
-        }
-        (live_mask, chunk_max, drops)
-    }
-}
-
-/// NEON lanes for the `i32` DNA case (aarch64). Mirrors the SSE4.1
-/// phase-2 sweep; phase 3 stays on the scalar chunk reduction there.
-#[cfg(target_arch = "aarch64")]
-mod isa {
-    use super::CHUNK;
-    use crate::NEG_INF;
-    use std::arch::aarch64::*;
-
-    /// See the SSE4.1 `sweep_chunk`: same contract, NEON intrinsics.
-    ///
-    /// # Safety
-    /// Requires NEON and the same bounds as the SSE4.1 variant.
-    #[target_feature(enable = "neon")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn sweep_chunk(
-        cur: &mut [i32],
-        prev: &[i32],
-        scratch: &[i32],
-        vsym: &[u8; CHUNK],
-        hsym: &[u8; CHUNK],
-        clen: usize,
-        wbase: usize,
-        off: usize,
-        mat: i32,
-        mis: i32,
-        gap: i32,
-    ) {
-        debug_assert!(wbase + clen <= cur.len() && wbase + clen <= scratch.len());
-        debug_assert!(wbase + off + clen <= prev.len() && wbase + off >= 1);
-        let vmat = vdupq_n_s32(mat);
-        let vmis = vdupq_n_s32(mis);
-        let vgap = vdupq_n_s32(gap);
-        let vneg = vdupq_n_s32(NEG_INF);
-        let vliv = vdupq_n_s32(NEG_INF / 2);
-        let mut k = 0usize;
-        while k + 4 <= clen {
-            let w = wbase + k;
-            let dold = vld1q_s32(scratch.as_ptr().add(w));
-            let a = [
-                vsym[k] as i32,
-                vsym[k + 1] as i32,
-                vsym[k + 2] as i32,
-                vsym[k + 3] as i32,
-            ];
-            let b = [
-                hsym[k] as i32,
-                hsym[k + 1] as i32,
-                hsym[k + 2] as i32,
-                hsym[k + 3] as i32,
-            ];
-            let sim = vbslq_s32(
-                vceqq_s32(vld1q_s32(a.as_ptr()), vld1q_s32(b.as_ptr())),
-                vmat,
-                vmis,
-            );
-            let live = vcgtq_s32(dold, vliv);
-            let diag = vbslq_s32(live, vaddq_s32(dold, sim), vneg);
-            let left = vaddq_s32(vld1q_s32(prev.as_ptr().add(w + off)), vgap);
-            let up = vaddq_s32(vld1q_s32(prev.as_ptr().add(w + off - 1)), vgap);
-            let score = vmaxq_s32(diag, vmaxq_s32(left, up));
-            vst1q_s32(cur.as_mut_ptr().add(w), score);
-            k += 4;
-        }
-        while k < clen {
-            let w = wbase + k;
-            let dold = scratch[w];
-            let diag = if dold > NEG_INF / 2 {
-                dold.saturating_add(if vsym[k] == hsym[k] { mat } else { mis })
-            } else {
-                NEG_INF
-            };
-            let left = prev[w + off].saturating_add(gap);
-            let up = prev[w + off - 1].saturating_add(gap);
-            cur[w] = diag.max(left).max(up);
-            k += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1099,11 +786,12 @@ mod tests {
         for kind in KernelKind::ALL {
             assert_eq!(KernelKind::parse(kind.name()), Some(kind));
         }
-        assert_eq!(KernelKind::parse("SIMD"), Some(KernelKind::Simd));
+        assert_eq!(KernelKind::parse("BATCHED"), Some(KernelKind::Batched));
+        assert!(KernelKind::parse("simd").is_none());
         assert_eq!(KernelKind::parse("  chunked "), Some(KernelKind::Chunked));
         assert!(KernelKind::parse("avx1024").is_none());
-        // `auto` resolves to whatever detection says, never Scalar.
-        assert_ne!(KernelKind::parse("auto"), Some(KernelKind::Scalar));
+        // `auto` resolves to the batched lane kernel on every host.
+        assert_eq!(KernelKind::parse("auto"), Some(KernelKind::Batched));
     }
 
     #[test]
@@ -1159,7 +847,7 @@ mod tests {
                         align_views(kind, &Fwd(h), &Fwd(v), &sc(), p, policy, &mut ws)
                     };
                     let scalar = run(KernelKind::Scalar);
-                    for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+                    for kind in [KernelKind::Chunked, KernelKind::Batched] {
                         assert_identical_output(&scalar, &run(kind), &(kind, policy, x));
                     }
                 }
@@ -1171,7 +859,7 @@ mod tests {
     fn exact_band_error_is_identical() {
         let s = encode_dna(&b"ACGTACGTACGTACGT".repeat(4));
         let p = XDropParams::new(10_000);
-        for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+        for kind in [KernelKind::Chunked, KernelKind::Batched] {
             let mut ws = Workspace::<i32>::new();
             let err = align_views(
                 kind,
@@ -1216,7 +904,7 @@ mod tests {
                 policy,
                 &mut ws,
             );
-            for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+            for kind in [KernelKind::Chunked, KernelKind::Batched] {
                 let mut ws = Workspace::<i32>::new();
                 let packed = align_views(kind, &hp, &vp, &sc(), p, policy, &mut ws);
                 assert_identical_output(&scalar, &packed, &("packed", kind, policy));
@@ -1253,7 +941,7 @@ mod tests {
                 policy,
                 &mut ws,
             );
-            for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+            for kind in [KernelKind::Chunked, KernelKind::Batched] {
                 let mut ws = Workspace::<f32>::new();
                 let got = align_views(kind, &Fwd(&h), &Fwd(&v), &sc(), p, policy, &mut ws);
                 assert_identical_output(&scalar, &got, &("f32", kind, policy));
@@ -1281,7 +969,7 @@ mod tests {
             BandPolicy::Grow(8),
             &mut ws,
         );
-        for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+        for kind in [KernelKind::Chunked, KernelKind::Batched] {
             let mut ws = Workspace::<i32>::new();
             let got = align_views(
                 kind,
@@ -1307,8 +995,9 @@ mod tests {
         let mut ws = Workspace::<i32>::new();
         let mut outs = Vec::new();
         for kind in [
-            KernelKind::Simd,
+            KernelKind::Chunked,
             KernelKind::Scalar,
+            KernelKind::Batched,
             KernelKind::Chunked,
             KernelKind::Scalar,
         ] {

@@ -31,8 +31,8 @@ pub trait ScoreTy: Copy + PartialOrd + std::fmt::Debug {
     /// Views a cell buffer as raw `i32` lanes when the concrete cell
     /// type *is* `i32`.
     ///
-    /// This is the hook the explicit-SIMD kernel uses to reach the
-    /// integer compare/blend instructions without `unsafe` transmutes
+    /// This is the hook the chunked kernel's `i32` compare-and-select
+    /// sweep uses to reach integer lanes without `unsafe` transmutes
     /// or specialization: the `i32` impl returns the slice unchanged,
     /// every other cell type returns `None` and the caller falls back
     /// to the type-generic chunked sweep.

@@ -40,10 +40,10 @@ pub trait Scorer {
     /// Returns the scheme's parameters if it is a plain
     /// match/mismatch scheme.
     ///
-    /// The explicit-SIMD kernel uses this to replace the per-cell
-    /// `sim` call (a table gather for matrix scorers) with a vector
-    /// compare-and-select. Matrix scorers return `None` and keep the
-    /// generic per-cell path.
+    /// The chunked and batched kernels use this to replace the
+    /// per-cell `sim` call (a table gather for matrix scorers) with a
+    /// vector compare-and-select. Matrix scorers return `None` and
+    /// keep the generic per-cell path.
     #[inline(always)]
     fn as_match_mismatch(&self) -> Option<MatchMismatch> {
         None

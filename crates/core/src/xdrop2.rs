@@ -145,9 +145,11 @@ impl<T: ScoreTy> Workspace<T> {
     /// left over from a previous, larger alignment are unreachable,
     /// not merely ignored. The guard is what
     /// `workspace_reuse_is_clean` and the cross-size regression tests
-    /// pin down. `reset_len` exists for diagnostics: after it, the
-    /// next `ensure` re-fills every cell with `-∞`, so a kernel that
-    /// *did* depend on stale contents would fail loudly.
+    /// pin down. After `reset_len` the next `ensure` re-fills every
+    /// cell with `-∞`, so a kernel that *did* depend on stale contents
+    /// would fail loudly; and because the band capacity restarts at
+    /// zero, the next alignment reports the `work_bytes` of a fresh
+    /// workspace while reusing this one's allocation.
     pub fn reset_len(&mut self) {
         for b in &mut self.bufs {
             b.clear();
@@ -730,7 +732,7 @@ mod tests {
                     BandPolicy::Saturate(7),
                     BandPolicy::Exact(1024),
                 ] {
-                    let p = XDropParams::new(30).with_kernel(crate::kernel::KernelKind::Simd);
+                    let p = XDropParams::new(30).with_kernel(crate::kernel::KernelKind::Chunked);
                     let reused = crate::kernel::align_views(
                         p.kernel,
                         &Fwd(&h),

@@ -112,7 +112,7 @@ pub struct ClusterOptions {
     /// The schedule (and every report field) is bit-identical for
     /// any value; the resolved count is logged in the trace metadata
     /// (`cat == "meta"`). The kernels themselves also honor
-    /// `XDropParams::kernel` (scalar / chunked / SIMD) — like the
+    /// `XDropParams::kernel` (scalar / chunked / batched) — like the
     /// thread count, that only moves host wall-clock, never the
     /// modeled time.
     pub host_threads: usize,

@@ -27,7 +27,7 @@ use xdrop_core::XDropParams;
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// X-Drop parameters. The embedded [`XDropParams::kernel`]
-    /// choice (scalar / chunked / SIMD) only changes host wall-clock
+    /// choice (scalar / chunked / batched) only changes host wall-clock
     /// while replaying the kernels — all kernels are bit-identical,
     /// so modeled time and every reported statistic are unaffected.
     pub params: XDropParams,
@@ -236,18 +236,29 @@ pub fn planning_units(w: &Workload, lr_split: bool) -> Vec<WorkUnit> {
 /// run (similar costs) while leaving ~3 refill waves per slot.
 pub const REFILL_CLAIM_FACTOR: usize = 4;
 
-/// How many comparisons each queue claim should hand one worker:
-/// [`REFILL_CLAIM_FACTOR`] × the batched kernel's hardware lane width
-/// under [`KernelKind::Batched`] (one lane group plus a refill queue —
-/// and, because claims are consecutive runs of the LPT order, its
-/// comparisons already have similar cost), 1 for the per-comparison
-/// kernels.
-pub fn claim_grain(cfg: &ExecConfig) -> usize {
-    if cfg.params.kernel == KernelKind::Batched && cfg.aligner == AlignerKind::XDrop2 {
-        batched::lane_width() * REFILL_CLAIM_FACTOR
+/// How many comparisons each queue claim should hand one of
+/// `threads` workers sharing `n` comparisons.
+///
+/// Under [`KernelKind::Batched`] with a scorer its `i16` lanes can
+/// model, a claim is [`REFILL_CLAIM_FACTOR`] × the hardware lane width
+/// (one lane group plus a refill queue — and, because claims are
+/// consecutive runs of the LPT order, its comparisons already have
+/// similar cost), capped at the per-thread share `⌈n / threads⌉` so a
+/// small workload (one out-of-core window) still spreads over every
+/// worker. A grain above 1 selects the batch-call path
+/// ([`align_comparisons_batched`]).
+///
+/// Everything else claims one comparison at a time and runs it
+/// through a reused [`Extender`]: the other engines, the other
+/// kernels, and ineligible scorers (BLOSUM62), which the batched
+/// kernel would only hand to the chunked sweep per task anyway.
+pub fn claim_grain<S: Scorer>(cfg: &ExecConfig, scorer: &S, n: usize, threads: usize) -> usize {
+    let lanes_apply = cfg.params.kernel == KernelKind::Batched
+        && cfg.aligner == AlignerKind::XDrop2
+        && batched::eligible(scorer).is_some();
+    if lanes_apply {
+        (batched::lane_width() * REFILL_CLAIM_FACTOR).min(n.div_ceil(threads.max(1)))
     } else {
-        // The batched lane kernel implements the two-antidiagonal
-        // engine only; every other engine runs per-comparison.
         1
     }
 }
@@ -479,8 +490,8 @@ pub fn execute_workload<S: Scorer + Sync>(
 ) -> Result<ExecOutput> {
     let n = w.comparisons.len();
     let threads = resolve_threads(cfg.host_threads).min(n.max(1));
-    let grain = claim_grain(cfg);
     if threads <= 1 || n < 16 {
+        let grain = claim_grain(cfg, scorer, n, 1);
         let (units, results) = if grain > 1 {
             exec_range_batched(w, scorer, cfg, 0..n, grain)?
         } else {
@@ -488,6 +499,7 @@ pub fn execute_workload<S: Scorer + Sync>(
         };
         return Ok(ExecOutput { units, results });
     }
+    let grain = claim_grain(cfg, scorer, n, threads);
     let upc = if cfg.lr_split { 2 } else { 1 };
     let queue = IndexQueue::with_order(lpt_order(w));
     let units = SharedSlots::new(n * upc, WorkUnit::default());
@@ -500,10 +512,10 @@ pub fn execute_workload<S: Scorer + Sync>(
                 (&queue, &units, &results, &extenders, &errors);
             s.spawn(move |_| {
                 if grain > 1 {
-                    // Batched kernel: claim a lane-width run of the
-                    // LPT order at a time and align the whole run in
-                    // one batch call, so comparisons of similar cost
-                    // share lane groups.
+                    // Batched kernel: claim a run of the LPT order at
+                    // a time and align the whole run in one batch
+                    // call, so comparisons of similar cost share lane
+                    // groups.
                     while let Some(claim) = queue.claim(grain) {
                         for (ci, outcome) in align_comparisons_batched(w, scorer, cfg, claim) {
                             match outcome {
@@ -729,18 +741,94 @@ mod tests {
             let mut scalar = cfg(lr);
             scalar.params = scalar.params.with_kernel(KernelKind::Scalar);
             scalar.host_threads = 1;
-            assert_eq!(claim_grain(&scalar), 1);
+            assert_eq!(claim_grain(&scalar, &sc, w.comparisons.len(), 1), 1);
             let oracle = execute_workload_reference(&w, &sc, &scalar).unwrap();
             for threads in [1usize, 3, 8] {
                 let mut c = cfg(lr);
                 c.params = c.params.with_kernel(KernelKind::Batched);
                 c.host_threads = threads;
-                assert!(claim_grain(&c) >= 8);
+                assert!(claim_grain(&c, &sc, w.comparisons.len(), 1) >= 8);
                 let got = execute_workload(&w, &sc, &c).unwrap();
                 assert_eq!(oracle.units, got.units, "lr={lr} threads={threads}");
                 assert_eq!(oracle.results, got.results, "lr={lr} threads={threads}");
             }
         }
+    }
+
+    /// A DNA scorer that records which worker threads score seeds,
+    /// and holds each worker in `seed_score` until a second worker
+    /// has shown up (or a deadline passes) — so a claim that could
+    /// have gone to the other worker is never swallowed by the first
+    /// one racing ahead.
+    struct TwoWorkerProbe {
+        inner: MatchMismatch,
+        seen: Mutex<Vec<std::thread::ThreadId>>,
+        arrived: std::sync::Condvar,
+    }
+
+    impl Scorer for TwoWorkerProbe {
+        fn sim(&self, a: u8, b: u8) -> i32 {
+            self.inner.sim(a, b)
+        }
+        fn gap(&self) -> i32 {
+            self.inner.gap()
+        }
+        fn alphabet(&self) -> Alphabet {
+            Alphabet::Dna
+        }
+        fn as_match_mismatch(&self) -> Option<MatchMismatch> {
+            Some(self.inner)
+        }
+        fn seed_score(&self, seed_h: &[u8], seed_v: &[u8]) -> i32 {
+            let me = std::thread::current().id();
+            let mut seen = self.seen.lock().expect("probe lock poisoned");
+            if !seen.contains(&me) {
+                seen.push(me);
+                self.arrived.notify_all();
+            }
+            let timeout = std::time::Duration::from_secs(2);
+            let _ = self
+                .arrived
+                .wait_timeout_while(seen, timeout, |seen| seen.len() < 2)
+                .expect("probe lock poisoned");
+            self.inner.seed_score(seed_h, seed_v)
+        }
+    }
+
+    #[test]
+    fn small_window_claims_spread_over_both_workers() {
+        // One out-of-core window's worth of comparisons at two
+        // threads: the claim grain is capped at the per-thread share,
+        // so both workers get a claim — and the output still bit-
+        // matches the scalar executor.
+        let mut w = small_workload();
+        w.comparisons.truncate(16);
+        let mut c = cfg(true);
+        c.params = c.params.with_kernel(KernelKind::Batched);
+        c.host_threads = 2;
+        let probe = TwoWorkerProbe {
+            inner: MatchMismatch::dna_default(),
+            seen: Mutex::new(Vec::new()),
+            arrived: std::sync::Condvar::new(),
+        };
+        assert_eq!(claim_grain(&c, &probe, 16, 2), 8);
+        let got = execute_workload(&w, &probe, &c).unwrap();
+        assert_eq!(probe.seen.lock().unwrap().len(), 2, "one worker idled");
+        let mut scalar = c;
+        scalar.params = scalar.params.with_kernel(KernelKind::Scalar);
+        scalar.host_threads = 1;
+        let want = execute_workload_reference(&w, &MatchMismatch::dna_default(), &scalar).unwrap();
+        assert_eq!(want.units, got.units);
+        assert_eq!(want.results, got.results);
+    }
+
+    #[test]
+    fn ineligible_scorer_claims_one_comparison_at_a_time() {
+        use xdrop_core::scoring::Blosum62;
+        let mut c = cfg(true);
+        c.params = c.params.with_kernel(KernelKind::Batched);
+        assert_eq!(claim_grain(&c, &Blosum62::pastis_default(), 1000, 2), 1);
+        assert!(claim_grain(&c, &MatchMismatch::dna_default(), 1000, 2) > 1);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! 1. Worker threads claim comparisons one at a time (LPT order) from
 //!    an [`IndexQueue`] and align them, writing units/results into
 //!    [`SharedSlots`] keyed by comparison index. Under
-//!    [`KernelKind::Batched`](xdrop_core::kernel::KernelKind) each
-//!    claim is a lane-width *run* of the LPT order instead
+//!    [`KernelKind::Batched`](xdrop_core::kernel::KernelKind) with a
+//!    DNA scorer each claim is a *run* of the LPT order instead
 //!    ([`claim_grain`]), aligned by one batch-kernel call whose
 //!    results are bit-identical to the per-comparison path.
 //! 2. *While they align*, the main thread plans batches from workload
@@ -250,7 +250,7 @@ pub fn run_pipeline_faulty<S: Scorer + Sync>(
     }
 
     let exec_cfg = cfg.exec;
-    let grain = claim_grain(&exec_cfg);
+    let grain = claim_grain(&exec_cfg, scorer, n, threads);
     let upc = if exec_cfg.lr_split { 2 } else { 1 };
     let queue = IndexQueue::with_order(lpt_order(w));
     let units = SharedSlots::new(n * upc, WorkUnit::default());
@@ -275,9 +275,9 @@ pub fn run_pipeline_faulty<S: Scorer + Sync>(
                 (&queue, &units, &results, &ready, &extenders, &batches_cell);
             s.spawn(move |_| {
                 // Phase 1: steal alignments until the queue is dry.
-                // Under the batched kernel each claim is a lane-width
-                // run of the LPT order, aligned in one batch call so
-                // similar-cost comparisons share lane groups.
+                // Under the batched kernel each claim is a run of the
+                // LPT order, aligned in one batch call so similar-cost
+                // comparisons share lane groups.
                 if grain > 1 {
                     while let Some(claim) = queue.claim(grain) {
                         for (ci, outcome) in align_comparisons_batched(w, scorer, &exec_cfg, claim)

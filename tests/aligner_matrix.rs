@@ -102,7 +102,7 @@ fn policies_for(kind: AlignerKind) -> &'static [BandPolicy] {
 
 /// Every cell of the request grid is either run or skipped with a
 /// typed reason — and the split is exactly the documented one:
-/// 48 cells total, 21 runnable, 27 skipped (DESIGN.md §15).
+/// 36 cells total, 17 runnable, 19 skipped (DESIGN.md §15).
 #[test]
 fn matrix_covers_every_cell_with_skip_accounting() {
     let (h, v) = fixture_pair();
@@ -152,20 +152,20 @@ fn matrix_covers_every_cell_with_skip_accounting() {
             }
         }
     }
-    // The documented grid: 6 engines × 4 kernels × 2 score types.
-    assert_eq!(total_cells, 6 * 4 * 2);
-    // XDrop2 + LoganBand run everywhere (2×4×2); XDrop3 is
+    // The documented grid: 6 engines × 3 kernels × 2 score types.
+    assert_eq!(total_cells, 6 * 3 * 2);
+    // XDrop2 + LoganBand run everywhere (2×3×2); XDrop3 is
     // scalar-only but score-generic (2); Affine/Hirschberg/Ksw2 are
     // scalar+i32 only (3).
     assert_eq!(
         run_cells,
-        16 + 2 + 3,
+        12 + 2 + 3,
         "runnable cells changed — update DESIGN.md §15"
     );
     assert_eq!(skipped_cells, total_cells - run_cells);
     // Sub-cell smoke: XDrop2 cells sweep 3 policies × 2 directions,
     // everything else its intrinsic policy × 2 directions.
-    assert_eq!(run_subcells, 8 * 6 + 8 * 2 + 2 * 2 + 3 * 2);
+    assert_eq!(run_subcells, 6 * 6 + 6 * 2 + 2 * 2 + 3 * 2);
 }
 
 /// The skip rules and `AlignRequest::validate` agree cell by cell.
@@ -527,9 +527,9 @@ fn hirschberg_edge_cases_match_oracle() {
 
 /// An ineligible scorer (BLOSUM62 has no match/mismatch form, so the
 /// batched i16 lanes cannot encode it) routed through `XDrop2` +
-/// `Batched` must take the per-task scalar fallback — same results,
-/// same typed errors as the direct scalar call, with the fallback
-/// visible in `BatchReport::fallbacks`.
+/// `Batched` must hand an ineligible scorer to the per-task chunked
+/// sweep — same results, same typed errors as the direct scalar
+/// call, with the fallback visible in `BatchReport::fallbacks`.
 #[test]
 fn batched_fallback_precedence_for_ineligible_scorer() {
     let scorer = Blosum62::new(-2);

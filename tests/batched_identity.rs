@@ -10,14 +10,18 @@
 //! properties drive the batch entry point over random batches of
 //! mixed-length related pairs (sizes 1..64) across all band policies
 //! and extension directions, for arbitrary lane counts, plus batches
-//! with lanes forced through the `i16`-overflow rerun path.
+//! with lanes forced through the `i16`-overflow rerun path. Symbols
+//! include `N` (code 4), against which the kernel's sentinel-padded
+//! compare must stay exact, and some tasks take lengths around
+//! multiples of `BURST_ROUNDS`, where a lane's per-burst sequence
+//! window ends.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xdrop_ipu::core::batched::{
     align_batch, align_batch_with_backend, align_batch_with_lanes, align_batch_with_opts,
-    BatchTask, SweepBackend, TaskView,
+    BatchTask, SweepBackend, TaskView, BURST_ROUNDS,
 };
 use xdrop_ipu::core::kernel::{self, KernelKind};
 use xdrop_ipu::core::scoring::MatchMismatch;
@@ -73,9 +77,14 @@ impl TaskSpec {
     }
 }
 
+/// DNA symbols including `N` (code 4).
+const SYMBOLS: std::ops::Range<u8> = 0..5;
+
 /// A batch of 1..64 comparisons with deliberately dispersed lengths
 /// (each task draws its own length cap), so lane groups mix long and
-/// short sequences and lanes retire at different rounds.
+/// short sequences and lanes retire at different rounds. About a
+/// third of the roots instead take a length one short of, at, or one
+/// past the first two multiples of `BURST_ROUNDS`.
 fn task_batch() -> impl Strategy<Value = Vec<TaskSpec>> {
     let one = (
         any::<u64>(),
@@ -83,20 +92,24 @@ fn task_batch() -> impl Strategy<Value = Vec<TaskSpec>> {
         0.0f64..0.4,
         any::<bool>(),
         any::<bool>(),
+        0usize..18,
     )
-        .prop_map(|(seed, max_len, err, h_rev, v_rev)| {
+        .prop_map(|(seed, max_len, err, h_rev, v_rev, edge)| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let root: Vec<u8> = (0..rng.gen_range(0..max_len))
-                .map(|_| rng.gen_range(0..4))
-                .collect();
+            let r = BURST_ROUNDS;
+            let len = match edge {
+                0..=5 => [r - 1, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1][edge],
+                _ => rng.gen_range(0..max_len),
+            };
+            let root: Vec<u8> = (0..len).map(|_| rng.gen_range(SYMBOLS)).collect();
             let mut other = Vec::with_capacity(root.len() + 8);
             for &b in &root {
                 let r: f64 = rng.gen();
                 if r < err * 0.6 {
-                    other.push(rng.gen_range(0..4)); // substitution
+                    other.push(rng.gen_range(SYMBOLS)); // substitution
                 } else if r < err * 0.8 {
                     // insertion
-                    other.push(rng.gen_range(0..4));
+                    other.push(rng.gen_range(SYMBOLS));
                     other.push(b);
                 } else if r < err {
                     // deletion: skip
@@ -287,8 +300,8 @@ proptest! {
     }
 
     /// The f32 cell type reaches the batched kernel through the
-    /// generic dispatch (where it takes the definitional scalar
-    /// fallback) and stays bit-identical.
+    /// generic dispatch (where it takes the chunked sweep) and stays
+    /// bit-identical.
     #[test]
     fn batched_kernel_dispatch_is_identical_for_f32(
         batch in task_batch(),
@@ -407,6 +420,83 @@ fn masked_tail_row_widths_are_bit_identical_per_backend() {
                     want.stats, got.stats,
                     "width {w} backend {backend:?} lane {t}"
                 );
+            }
+        }
+    }
+}
+
+/// A Grow re-pitch that lands in the middle of a later burst: the
+/// lane pauses at that round, the arena is re-pitched, and the next
+/// burst re-stages its sequence windows from the paused state. The
+/// pair is an exact copy with a short insertion, so the band stays
+/// under δ_b until the alignment crosses the insertion and then must
+/// widen; the scalar reference locates that round, and the test
+/// checks it is neither in the first burst nor a burst's first round.
+#[test]
+fn grow_repitch_mid_burst_is_bit_identical() {
+    let sc = MatchMismatch::dna_default();
+    let p = XDropParams::new(20);
+    let policy = BandPolicy::Grow(16);
+    let mut rng = StdRng::seed_from_u64(2024);
+    let h: Vec<u8> = (0..400).map(|_| rng.gen_range(SYMBOLS)).collect();
+    let mut v = h[..150].to_vec();
+    v.extend((0..12).map(|_| rng.gen_range(SYMBOLS)));
+    v.extend_from_slice(&h[150..]);
+    let spec = TaskSpec {
+        h,
+        v,
+        h_rev: false,
+        v_rev: false,
+    };
+    let work = |cap: usize| {
+        let capped = p.with_max_antidiagonals(cap);
+        spec.scalar(capped, policy).unwrap().stats.work_bytes
+    };
+    let initial = work(1);
+    let full = spec.scalar(p, policy).unwrap();
+    assert!(full.stats.work_bytes > initial, "the band must outgrow δ_b");
+    // The first round whose band outgrew δ_b: the smallest cap at
+    // which the reference reports more than the initial footprint.
+    let (mut lo, mut hi) = (1usize, full.stats.antidiagonals as usize);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if work(mid) > initial {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let grew_at = lo;
+    assert!(
+        grew_at > BURST_ROUNDS && (grew_at - 1) % BURST_ROUNDS != 0,
+        "growth at antidiagonal {grew_at} is not mid-burst"
+    );
+    // Alone, and beside narrow lanes that never re-pitch.
+    let mut batch = vec![spec.clone()];
+    for i in 0..5u64 {
+        let mut rng = StdRng::seed_from_u64(i);
+        let h: Vec<u8> = (0..300).map(|_| rng.gen_range(SYMBOLS)).collect();
+        batch.push(TaskSpec {
+            h: h.clone(),
+            v: h,
+            h_rev: i % 2 == 1,
+            v_rev: i % 2 == 1,
+        });
+    }
+    for group in [&batch[..1], &batch[..]] {
+        let tasks: Vec<BatchTask<'_>> = group.iter().map(TaskSpec::task).collect();
+        for &backend in &SweepBackend::supported() {
+            for lanes in [1usize, 8] {
+                let (got, report) =
+                    align_batch_with_backend(&tasks, &sc, p, policy, lanes, true, backend);
+                assert_eq!(report.reruns, 0);
+                for (t, spec) in group.iter().enumerate() {
+                    assert_eq!(
+                        spec.scalar(p, policy),
+                        got[t],
+                        "lane {t} backend {backend:?} lanes {lanes}"
+                    );
+                }
             }
         }
     }

@@ -66,7 +66,7 @@ fn baseline_parses_and_is_well_formed() {
     );
     assert!(!file.rows.is_empty());
 
-    let kernels = ["scalar", "chunked", "simd", "batched"];
+    let kernels = ["scalar", "chunked", "batched"];
     assert_eq!(file.rows.len() % kernels.len(), 0);
     for group in file.rows.chunks(kernels.len()) {
         for (row, expected) in group.iter().zip(kernels) {

@@ -1,4 +1,4 @@
-//! Differential bit-identity proptest for the lane-parallel kernels.
+//! Differential bit-identity proptest for the kernels.
 //!
 //! The kernel contract (see `xdrop_core::kernel`) is that every
 //! [`KernelKind`] produces byte-identical output to the scalar
@@ -7,11 +7,14 @@
 //! properties drive all kernels over randomized related pairs across
 //! every band policy (including the Saturate clipping path), both
 //! score cell types (`i32` and the f32 dual-issue variant), and both
-//! extension directions.
+//! extension directions. Symbols include `N` (code 4), and one
+//! property pins lengths around multiples of the batched kernel's
+//! `BURST_ROUNDS`, where its per-burst sequence windows end.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xdrop_ipu::core::batched::BURST_ROUNDS;
 use xdrop_ipu::core::kernel::{self, KernelKind, KERNEL_ENV};
 use xdrop_ipu::core::scorety::ScoreTy;
 use xdrop_ipu::core::scoring::{MatchMismatch, Scorer};
@@ -20,8 +23,33 @@ use xdrop_ipu::core::stats::AlignOutput;
 use xdrop_ipu::core::xdrop2::{self, BandPolicy, Workspace};
 use xdrop_ipu::core::{Result, XDropParams};
 
+/// DNA symbols including `N` (code 4).
+const SYMBOLS: std::ops::Range<u8> = 0..5;
+
 fn dna_seq(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(0u8..4, 0..max_len)
+    prop::collection::vec(SYMBOLS, 0..max_len)
+}
+
+/// `root` with substitutions, insertions and deletions at total rate
+/// `err`, drawn from `seed`.
+fn mutate(root: &[u8], seed: u64, err: f64) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut other = Vec::with_capacity(root.len() + 8);
+    for &b in root {
+        let r: f64 = rng.gen();
+        if r < err * 0.6 {
+            other.push(rng.gen_range(SYMBOLS)); // substitution
+        } else if r < err * 0.8 {
+            // insertion
+            other.push(rng.gen_range(SYMBOLS));
+            other.push(b);
+        } else if r < err {
+            // deletion: skip
+        } else {
+            other.push(b);
+        }
+    }
+    other
 }
 
 /// A pair of related sequences: a root plus mutations, so the
@@ -29,22 +57,28 @@ fn dna_seq(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
 /// rather than just random noise.
 fn related_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
     (dna_seq(120), any::<u64>(), 0.0f64..0.4).prop_map(|(root, seed, err)| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut other = Vec::with_capacity(root.len() + 8);
-        for &b in &root {
-            let r: f64 = rng.gen();
-            if r < err * 0.6 {
-                other.push(rng.gen_range(0..4)); // substitution
-            } else if r < err * 0.8 {
-                // insertion
-                other.push(rng.gen_range(0..4));
-                other.push(b);
-            } else if r < err {
-                // deletion: skip
-            } else {
-                other.push(b);
-            }
-        }
+        let other = mutate(&root, seed, err);
+        (root, other)
+    })
+}
+
+/// Lengths one short of, at, and one past the first two multiples of
+/// `BURST_ROUNDS`: where a burst's sequence window ends.
+fn burst_edge_len() -> impl Strategy<Value = usize> {
+    (0usize..6).prop_map(|i| {
+        let r = BURST_ROUNDS;
+        [r - 1, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1][i]
+    })
+}
+
+/// A related pair whose root has a burst-edge length and whose
+/// relative differs only sparsely, so the alignment usually runs to
+/// the end of one sequence and reads the window sentinels there.
+fn burst_edge_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (burst_edge_len(), any::<u64>(), 0.0f64..0.08).prop_map(|(len, seed, err)| {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let root: Vec<u8> = (0..len).map(|_| rng.gen_range(SYMBOLS)).collect();
+        let other = mutate(&root, seed, err);
         (root, other)
     })
 }
@@ -86,9 +120,9 @@ fn assert_identical<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The tentpole property: Chunked, Simd, and Batched (as a batch
-    /// of one) are bit-identical to Scalar across all three band
-    /// policies, in both extension directions, for i32 cells.
+    /// The tentpole property: Chunked and Batched (as a batch of one)
+    /// are bit-identical to Scalar across all three band policies, in
+    /// both extension directions, for i32 cells.
     #[test]
     fn kernel_bit_identity(
         (h, v) in related_pair(),
@@ -103,7 +137,7 @@ proptest! {
             BandPolicy::Saturate(db),   // exercises the clipping path
         ];
         for policy in policies {
-            for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+            for kind in [KernelKind::Chunked, KernelKind::Batched] {
                 assert_identical::<i32, _, _, _>(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy)?;
                 assert_identical::<i32, _, _, _>(kind, &Rev(&h), &Rev(&v), &sc, p, policy)?;
             }
@@ -111,7 +145,7 @@ proptest! {
     }
 
     /// Same property for the f32 dual-issue cell type (which takes
-    /// the generic chunked sweep even under `Simd`).
+    /// the generic chunked sweep even under `Batched`).
     #[test]
     fn kernel_bit_identity_f32(
         (h, v) in related_pair(),
@@ -121,8 +155,30 @@ proptest! {
         let sc = MatchMismatch::dna_default();
         let p = XDropParams::new(x);
         for policy in [BandPolicy::Grow(db), BandPolicy::Saturate(db)] {
-            for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+            for kind in [KernelKind::Chunked, KernelKind::Batched] {
                 assert_identical::<f32, _, _, _>(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy)?;
+            }
+        }
+    }
+
+    /// Lengths at the burst edges, with `N`: the batched kernel's
+    /// per-burst windows and their sentinels stay exact where a
+    /// sequence ends one short of, at, or one past a burst boundary,
+    /// in both directions and under every band policy.
+    #[test]
+    fn kernel_bit_identity_burst_edges(
+        (h, v) in burst_edge_pair(),
+        x in 0i32..80,
+        db in 1usize..40,
+        swap in any::<bool>(),
+    ) {
+        let sc = MatchMismatch::dna_default();
+        let p = XDropParams::new(x);
+        let (h, v) = if swap { (v, h) } else { (h, v) };
+        for policy in [BandPolicy::Grow(db), BandPolicy::Exact(db), BandPolicy::Saturate(db)] {
+            for kind in [KernelKind::Chunked, KernelKind::Batched] {
+                assert_identical::<i32, _, _, _>(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy)?;
+                assert_identical::<i32, _, _, _>(kind, &Rev(&h), &Rev(&v), &sc, p, policy)?;
             }
         }
     }
@@ -139,7 +195,7 @@ proptest! {
             XDropParams::new(x).with_kernel(KernelKind::Scalar),
             BandPolicy::Grow(4),
         ).unwrap();
-        for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+        for kind in [KernelKind::Chunked, KernelKind::Batched] {
             let got = xdrop2::align(
                 &h,
                 &v,
@@ -203,7 +259,7 @@ fn env_probe() {
 #[test]
 fn env_knob_end_to_end() {
     let exe = std::env::current_exe().expect("test binary path");
-    for name in ["scalar", "chunked", "simd", "batched"] {
+    for name in ["scalar", "chunked", "batched"] {
         let out = std::process::Command::new(&exe)
             .args(["--exact", "env_probe", "--ignored"])
             .env(KERNEL_ENV, name)
