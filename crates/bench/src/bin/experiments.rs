@@ -24,6 +24,8 @@
 //!   faults     fault recovery: fault-free vs one device lost
 //!   scaling    fleet scaling: windowed out-of-core pipeline,
 //!              4-512 devices with host-link contention
+//!   overlap    overlap detection alone on the PASTIS and ELBA
+//!              inputs (k-mer counting, substitute index, A Aᵀ)
 //!   all        everything above
 //! ```
 //!
@@ -35,12 +37,10 @@
 use seqdata::{Dataset, DatasetKind};
 use xdrop_bench::exp;
 use xdrop_bench::exp::{
-    batchbench, compare, e2e, faultbench, fleetscale, kernelbench, partbench, realworld, scaling,
-    search_space, table1, table2, tilesched,
+    batchbench, compare, e2e, faultbench, fleetscale, kernelbench, overlapbench, partbench,
+    realworld, scaling, search_space, table1, table2, tilesched,
 };
 use xdrop_bench::svg;
-use xdrop_pipelines::elba::ElbaConfig;
-use xdrop_pipelines::overlap::OverlapConfig;
 use xdrop_pipelines::pastis::PastisConfig;
 
 /// Track heap usage so `experiments scaling` can report the peak
@@ -105,14 +105,14 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}\n");
     }
     eprintln!(
-        "usage: experiments <table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|sec61|partition|elba|pastis|bench|sweep-backends|e2e|faults|scaling|all> [--scale F] [--threads N] [--iters N] [--trace] [--bench-json]\n\
+        "usage: experiments <table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|sec61|partition|elba|pastis|bench|sweep-backends|e2e|faults|scaling|overlap|all> [--scale F] [--threads N] [--iters N] [--trace] [--bench-json]\n\
          \n\
-         --iters       with `bench`/`e2e`/`partition`/`faults`: timing\n\
+         --iters       with `bench`/`e2e`/`partition`/`faults`/`overlap`: timing\n\
          \x20             iterations per configuration (default 3;\n\
          \x20             `scaling` is modeled time and ignores it)\n\
          --trace       also dump a Chrome trace_event timeline to\n\
          \x20             results/<name>.trace.json (fig4, fig7, elba, pastis)\n\
-         --bench-json  with `bench`/`e2e`/`partition`/`faults`/`scaling`:\n\
+         --bench-json  with `bench`/`e2e`/`partition`/`faults`/`scaling`/`overlap`:\n\
          \x20             also write the machine-readable perf baseline\n\
          \x20             BENCH_xdrop.json at the repo root (`partition` adds\n\
          \x20             the serial-vs-sharded front-end benchmark)"
@@ -425,26 +425,7 @@ fn run_one(name: &str, args: &Args) {
             }
         }
         "elba" => {
-            let cfg = ElbaConfig {
-                read_sim: seqdata::reads::ReadSimParams {
-                    genome_len: (400_000.0 * args.scale) as usize,
-                    coverage: 14.0,
-                    read_len_mean: 6_000.0,
-                    read_len_sigma: 0.45,
-                    min_read_len: 800,
-                    max_read_len: 16_000,
-                    errors: seqdata::gen::MutationProfile::hifi(),
-                    min_overlap: 1_200,
-                    seed_k: 17,
-                    low_complexity: Some(seqdata::reads::LowComplexity::genomic()),
-                    false_pair_rate: 0.10,
-                },
-                overlap: OverlapConfig::elba(17),
-                x: 15,
-                aligner: xdrop_core::aligner::AlignerKind::XDrop2,
-                min_identity: 0.7,
-                fuzz: 60,
-            };
+            let cfg = realworld::elba_config(args.scale);
             let mut rows = Vec::new();
             for x in [10, 15, 20] {
                 rows.extend(realworld::elba(&cfg, &[x], 16, 5));
@@ -512,6 +493,18 @@ fn run_one(name: &str, args: &Args) {
             exp::save_json("faults", &rows);
             if args.bench_json {
                 match kernelbench::write_faults_json(&rows) {
+                    Ok(path) => println!("   wrote {}", path.display()),
+                    Err(e) => eprintln!("   could not write BENCH_xdrop.json: {e}"),
+                }
+            }
+        }
+        "overlap" => {
+            let section = overlapbench::run(args.scale, args.iters);
+            println!("Overlap detection: detect_overlaps alone");
+            print!("{}", overlapbench::render(&section));
+            exp::save_json("overlap", &section);
+            if args.bench_json {
+                match kernelbench::write_overlap_json(&section) {
                     Ok(path) => println!("   wrote {}", path.display()),
                     Err(e) => eprintln!("   could not write BENCH_xdrop.json: {e}"),
                 }

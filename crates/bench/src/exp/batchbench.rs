@@ -82,12 +82,6 @@ pub struct BatchedRow {
     pub sweep_backend: String,
 }
 
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 fn host_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -148,7 +142,7 @@ pub fn run(scale: f64, iters: usize) -> Vec<BatchedRow> {
     let policy = BandPolicy::Grow(64);
     let base = ((2_000.0 * scale) as usize).max(64);
     let comparisons = 64usize;
-    let cores = host_cores();
+    let cores = super::host_cores();
     let avx2 = host_avx2();
     let hw = batched::lane_width();
 

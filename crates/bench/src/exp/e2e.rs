@@ -51,12 +51,6 @@ pub const E2E_REPRO_COMMAND: &str =
 /// Thread counts measured.
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 fn config(threads: usize, streaming: bool) -> PipelineConfig {
     let mut cfg = PipelineConfig::new(15);
     cfg.exec.host_threads = threads;
@@ -75,7 +69,7 @@ pub fn run(scale: f64, iters: usize) -> Vec<E2eRow> {
     let sc = dna_scorer();
     let spec = IpuSpec::bow().scaled(FIG7_MACHINE_SCALE);
     let theoretical = w.theoretical_cells() as f64;
-    let cores = host_cores();
+    let cores = super::host_cores();
 
     let mut rows = Vec::new();
     for &threads in &THREAD_COUNTS {

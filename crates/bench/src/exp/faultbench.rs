@@ -62,12 +62,6 @@ pub const FAULTS_REPRO_COMMAND: &str =
 /// Devices in both scenarios.
 pub const FAULT_DEVICES: usize = 4;
 
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 fn config() -> PipelineConfig {
     let mut cfg = PipelineConfig::new(15);
     cfg.exec.host_threads = 4;
@@ -88,7 +82,7 @@ pub fn run(scale: f64, iters: usize) -> Vec<FaultBenchRow> {
     let sc = dna_scorer();
     let spec = IpuSpec::bow().scaled(FIG7_MACHINE_SCALE);
     let cfg = config();
-    let cores = host_cores();
+    let cores = super::host_cores();
 
     // Fault-free oracle first: its makespan positions the death.
     let oracle = run_pipeline_faulty(&w, &sc, &spec, &cfg, &FaultPlan::none())

@@ -96,6 +96,11 @@ pub struct BenchFile {
     /// without host-link contention, produced through the windowed
     /// out-of-core pipeline.
     pub scaling: super::fleetscale::ScalingSection,
+    /// Overlap-detection layer measurements (`experiments overlap`):
+    /// `detect_overlaps` on the PASTIS and ELBA inputs. Optional, so a
+    /// v7 file (which predates it) still parses; `None` until the
+    /// section's command has run.
+    pub overlap: Option<super::overlapbench::OverlapSection>,
 }
 
 /// The batched-row shape of schema v6, before the fused sweep grew
@@ -172,6 +177,7 @@ impl From<LegacyBenchFileV6> for BenchFile {
             batched: Vec::new(),
             scaling_command: v6.scaling_command,
             scaling: v6.scaling,
+            overlap: None,
         }
     }
 }
@@ -242,6 +248,7 @@ impl From<LegacyBenchFileV5> for BenchFile {
             batched: Vec::new(),
             scaling_command: v5.scaling_command,
             scaling: v5.scaling,
+            overlap: None,
         }
     }
 }
@@ -286,6 +293,7 @@ impl From<LegacyBenchFileV4> for BenchFile {
             batched: Vec::new(),
             scaling_command: super::fleetscale::SCALING_REPRO_COMMAND.to_string(),
             scaling: super::fleetscale::ScalingSection::default(),
+            overlap: None,
         }
     }
 }
@@ -325,6 +333,7 @@ impl From<LegacyBenchFileV3> for BenchFile {
             batched: Vec::new(),
             scaling_command: super::fleetscale::SCALING_REPRO_COMMAND.to_string(),
             scaling: super::fleetscale::ScalingSection::default(),
+            overlap: None,
         }
     }
 }
@@ -362,6 +371,7 @@ impl From<LegacyBenchFileV2> for BenchFile {
             batched: Vec::new(),
             scaling_command: super::fleetscale::SCALING_REPRO_COMMAND.to_string(),
             scaling: super::fleetscale::ScalingSection::default(),
+            overlap: None,
         }
     }
 }
@@ -518,8 +528,9 @@ pub const REPRO_COMMAND: &str =
 /// `occupancy`/`staged_bytes_per_cell`/`refills`/`rounds` counters
 /// from the persistent-staging kernel, v7 the top-level `host_simd`
 /// capability string and the batched rows' `sweep_backend` column
-/// from the multiversioned sweep dispatch).
-pub const SCHEMA: &str = "xdrop-kernel-bench/v7";
+/// from the multiversioned sweep dispatch, v8 the optional
+/// overlap-detection `overlap` section).
+pub const SCHEMA: &str = "xdrop-kernel-bench/v8";
 
 fn bench_json_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_xdrop.json")
@@ -589,6 +600,7 @@ fn base_file() -> BenchFile {
         batched: Vec::new(),
         scaling_command: super::fleetscale::SCALING_REPRO_COMMAND.to_string(),
         scaling: super::fleetscale::ScalingSection::default(),
+        overlap: None,
     });
     file.schema = SCHEMA.to_string();
     // Any write happens on the current host, so the capability string
@@ -655,6 +667,16 @@ pub fn write_scaling_json(
     let mut file = base_file();
     file.scaling_command = super::fleetscale::SCALING_REPRO_COMMAND.to_string();
     file.scaling = scaling.clone();
+    write_file(&file)
+}
+
+/// Writes the overlap section of the baseline, preserving every
+/// other committed section.
+pub fn write_overlap_json(
+    overlap: &super::overlapbench::OverlapSection,
+) -> std::io::Result<std::path::PathBuf> {
+    let mut file = base_file();
+    file.overlap = Some(overlap.clone());
     write_file(&file)
 }
 

@@ -6,6 +6,7 @@ pub mod e2e;
 pub mod faultbench;
 pub mod fleetscale;
 pub mod kernelbench;
+pub mod overlapbench;
 pub mod partbench;
 pub mod realworld;
 pub mod scaling;
@@ -48,4 +49,12 @@ pub fn save_trace(name: &str, trace: &ipu_sim::trace::ChromeTrace) {
 /// Default scorer for the DNA experiments.
 pub fn dna_scorer() -> xdrop_core::scoring::MatchMismatch {
     xdrop_core::scoring::MatchMismatch::dna_default()
+}
+
+/// CPU cores available on the measuring host, recorded in every BENCH
+/// row whose timing depends on threads.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }

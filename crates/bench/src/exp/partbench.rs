@@ -74,12 +74,6 @@ const BUDGET: usize = 500_000;
 const TILE_THREADS: usize = 6;
 const DELTA_B: usize = 256;
 
-fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// The ELBA-shaped ring workload: `~100_000 × scale` sequences of
 /// 500–2000 symbols, each compared against its 10 successors (mod
 /// n) — a single giant overlap component, as in long-read data.
@@ -127,7 +121,7 @@ fn time_best<F: FnMut() -> Vec<xdrop_partition::Partition>>(
 pub fn run(scale: f64, iters: usize) -> Vec<PartitionBenchRow> {
     let w = elba_workload(scale);
     let m = w.comparisons.len();
-    let cores = host_cores();
+    let cores = super::host_cores();
     let mut rows = Vec::new();
 
     let (serial_parts, serial_s) = time_best(iters, || {

@@ -5,11 +5,14 @@ use crate::harness::{exec_for, run_ipu_from_exec, run_ipu_from_exec_traced, IpuR
 use ipu_sim::trace::ChromeTrace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use seqdata::gen::MutationProfile;
+use seqdata::reads::{LowComplexity, ReadSimParams};
 use xdrop_baselines::runner::{run_workload_scaled, ToolKind};
+use xdrop_core::aligner::AlignerKind;
 use xdrop_core::scoring::{Blosum62, MatchMismatch};
 use xdrop_core::workload::Workload;
 use xdrop_pipelines::elba::{run_elba, ElbaConfig};
-use xdrop_pipelines::overlap::detect_overlaps;
+use xdrop_pipelines::overlap::{detect_overlaps, OverlapConfig};
 use xdrop_pipelines::pastis::{generate_families, PastisConfig};
 
 /// One backend's alignment-phase time.
@@ -27,6 +30,32 @@ pub struct PipelineRow {
     pub seconds: f64,
     /// Speedup relative to the single-node CPU row.
     pub speedup_vs_cpu: f64,
+}
+
+/// The `experiments elba` configuration: HiFi reads at 14× coverage
+/// of a `400 kb × scale` genome with low-complexity regions and 10%
+/// false pairs, k = 17 overlap detection, X = 15.
+pub fn elba_config(scale: f64) -> ElbaConfig {
+    ElbaConfig {
+        read_sim: ReadSimParams {
+            genome_len: (400_000.0 * scale) as usize,
+            coverage: 14.0,
+            read_len_mean: 6_000.0,
+            read_len_sigma: 0.45,
+            min_read_len: 800,
+            max_read_len: 16_000,
+            errors: MutationProfile::hifi(),
+            min_overlap: 1_200,
+            seed_k: 17,
+            low_complexity: Some(LowComplexity::genomic()),
+            false_pair_rate: 0.10,
+        },
+        overlap: OverlapConfig::elba(17),
+        x: 15,
+        aligner: AlignerKind::XDrop2,
+        min_identity: 0.7,
+        fuzz: 60,
+    }
 }
 
 /// ELBA §6.3.1: alignment phase on CPU (SeqAn), GPU (LOGAN) and
@@ -189,9 +218,6 @@ pub fn render(rows: &[PipelineRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqdata::gen::MutationProfile;
-    use seqdata::reads::ReadSimParams;
-    use xdrop_pipelines::overlap::OverlapConfig;
 
     fn tiny_elba() -> ElbaConfig {
         ElbaConfig {

@@ -1,13 +1,18 @@
-//! k-mer extraction, counting, and substitute k-mers.
+//! k-mer extraction, counting, and the substitute-k-mer index.
 //!
 //! ELBA extracts DNA k-mers (k = 17 or 31) into a
 //! |k-mers| × |sequences| matrix; PASTIS uses protein k-mers
 //! (k = 6) and additionally *substitute* k-mers — near-identical
 //! k-mers under BLOSUM62 — because exact protein seeds lose too much
 //! sensitivity (§2.4, the `S` in `A S Aᵀ`).
+//!
+//! Everything here is hash-library-free and allocates per call, not
+//! per k-mer: k-mers are rolled into a packed `u64` one symbol at a
+//! time ([`kmers`]), counted by sorting ([`reliable_kmers`]), and
+//! looked up in an inverted substitute index ([`KmerIndex`]) that
+//! answers every sequence k-mer with one table probe.
 
-use std::collections::HashMap;
-use xdrop_core::alphabet::Alphabet;
+use xdrop_core::alphabet::{Alphabet, PROTEIN_CODES};
 use xdrop_core::scoring::BLOSUM62;
 
 /// Bits per symbol for packing (2 for DNA, 5 for protein).
@@ -18,81 +23,135 @@ fn bits(alphabet: Alphabet) -> u32 {
     }
 }
 
+/// Symbol codes at or above this bound end a k-mer run. DNA packs 2
+/// bits per base, so `N` (code 4) would alias a concrete base and is
+/// skipped; every protein code (ambiguous `B`/`Z`/`X`/`*` included)
+/// fits its 5 bits and is kept.
+fn symbol_limit(alphabet: Alphabet) -> u8 {
+    match alphabet {
+        Alphabet::Dna => alphabet.concrete_codes() as u8,
+        Alphabet::Protein => 1 << bits(alphabet),
+    }
+}
+
 /// Maximum k that fits a packed `u64` for this alphabet.
 pub fn max_k(alphabet: Alphabet) -> usize {
     (64 / bits(alphabet)) as usize
 }
 
-/// Packs `seq[pos .. pos + k]` into a `u64` (codes must be concrete
-/// symbols).
-pub fn pack(seq: &[u8], pos: usize, k: usize, alphabet: Alphabet) -> u64 {
-    let b = bits(alphabet);
-    debug_assert!(k <= max_k(alphabet));
-    let mut out = 0u64;
-    for &s in &seq[pos..pos + k] {
-        out = (out << b) | s as u64;
-    }
-    out
+/// Panics unless `k` is in `1..=max_k(alphabet)`: a longer k-mer does
+/// not fit the packed `u64`, and truncating it would seed on a
+/// shorter k than labelled.
+pub(crate) fn assert_k(k: usize, alphabet: Alphabet) {
+    let max = max_k(alphabet);
+    assert!((1..=max).contains(&k), "k = {k} outside 1..={max}");
 }
 
-/// Unpacks a packed k-mer back into symbol codes.
-pub fn unpack(kmer: u64, k: usize, alphabet: Alphabet) -> Vec<u8> {
-    let b = bits(alphabet);
-    let mask = (1u64 << b) - 1;
-    let mut out = vec![0u8; k];
-    let mut km = kmer;
-    for i in (0..k).rev() {
-        out[i] = (km & mask) as u8;
-        km >>= b;
-    }
-    out
+/// Rolling iterator over the `(packed k-mer, position)` pairs of a
+/// sequence; see [`kmers`].
+#[derive(Debug, Clone)]
+pub struct Kmers<'a> {
+    seq: &'a [u8],
+    /// Index of the next symbol to roll in.
+    pos: usize,
+    k: usize,
+    bits: u32,
+    mask: u64,
+    limit: u8,
+    kmer: u64,
+    run: usize,
 }
 
-/// All `(kmer, position)` pairs of a sequence.
-pub fn kmers_of(seq: &[u8], k: usize, alphabet: Alphabet) -> Vec<(u64, u32)> {
-    if seq.len() < k || k == 0 {
-        return Vec::new();
+impl Iterator for Kmers<'_> {
+    type Item = (u64, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, u32)> {
+        while let Some(&c) = self.seq.get(self.pos) {
+            self.pos += 1;
+            if c >= self.limit {
+                self.run = 0;
+                continue;
+            }
+            self.kmer = ((self.kmer << self.bits) | c as u64) & self.mask;
+            self.run += 1;
+            if self.run >= self.k {
+                return Some((self.kmer, (self.pos - self.k) as u32));
+            }
+        }
+        None
     }
-    (0..=seq.len() - k)
-        .map(|p| (pack(seq, p, k, alphabet), p as u32))
-        .collect()
 }
 
-/// Counts distinct sequences containing each k-mer (the ELBA k-mer
-/// counting stage; per-sequence multiplicity is capped at 1 so
-/// repeats inside one read don't inflate the count).
-pub fn count_kmers<'a>(
+/// All `(packed k-mer, position)` pairs of a sequence, rolled one
+/// symbol at a time (`kmer = ((kmer << bits) | code) & mask`). DNA
+/// windows that contain an `N` are skipped and the roll restarts
+/// after it; see `symbol_limit`.
+///
+/// # Panics
+/// If `k` is outside `1..=max_k(alphabet)`.
+pub fn kmers(seq: &[u8], k: usize, alphabet: Alphabet) -> Kmers<'_> {
+    assert_k(k, alphabet);
+    let bits = bits(alphabet);
+    let width = bits * k as u32;
+    Kmers {
+        seq,
+        pos: 0,
+        k,
+        bits,
+        mask: if width == 64 {
+            u64::MAX
+        } else {
+            (1 << width) - 1
+        },
+        limit: symbol_limit(alphabet),
+        kmer: 0,
+        run: 0,
+    }
+}
+
+/// The reliable k-mers, sorted ascending: those present in at least
+/// `min` and at most `max` distinct sequences (k-mers above `max` are
+/// repeats that blow up the overlap matrix; below `min` they cannot
+/// witness an overlap). A k-mer's index in the result is its dense
+/// id.
+///
+/// This is the ELBA k-mer counting stage done by sorting: each
+/// sequence contributes its distinct k-mers once (so repeats inside
+/// one read don't inflate the count), one sort groups them, and a
+/// run's length is the k-mer's sequence count.
+pub fn reliable_kmers<'a>(
     seqs: impl Iterator<Item = &'a [u8]>,
     k: usize,
     alphabet: Alphabet,
-) -> HashMap<u64, u32> {
-    let mut counts: HashMap<u64, u32> = HashMap::new();
-    let mut seen: HashMap<u64, u32> = HashMap::new();
-    for (si, s) in seqs.enumerate() {
-        for (km, _) in kmers_of(s, k, alphabet) {
-            if seen.insert(km, si as u32) != Some(si as u32) {
-                *counts.entry(km).or_insert(0) += 1;
-            }
-        }
+    min: u32,
+    max: u32,
+) -> Vec<u64> {
+    let mut all: Vec<u64> = Vec::new();
+    let mut one: Vec<u64> = Vec::new();
+    for s in seqs {
+        one.clear();
+        one.extend(kmers(s, k, alphabet).map(|(km, _)| km));
+        one.sort_unstable();
+        one.dedup();
+        all.extend_from_slice(&one);
     }
-    counts
-}
-
-/// The reliable k-mer range: k-mers present in at least `min` and at
-/// most `max` sequences (k-mers above `max` are repeats that blow up
-/// the overlap matrix; below `min` they cannot witness an overlap).
-pub fn reliable_kmers(counts: &HashMap<u64, u32>, min: u32, max: u32) -> HashMap<u64, u32> {
-    // Assign dense ids in sorted order for determinism.
-    let mut keep: Vec<u64> = counts
-        .iter()
-        .filter(|&(_, &c)| c >= min && c <= max)
-        .map(|(&km, _)| km)
-        .collect();
-    keep.sort_unstable();
-    keep.into_iter()
-        .enumerate()
-        .map(|(i, km)| (km, i as u32))
-        .collect()
+    all.sort_unstable();
+    let mut kept = 0;
+    let mut start = 0;
+    while start < all.len() {
+        let km = all[start];
+        let end = start + all[start..].partition_point(|&x| x == km);
+        let count = end - start;
+        if (min as usize..=max as usize).contains(&count) {
+            all[kept] = km;
+            kept += 1;
+        }
+        start = end;
+    }
+    all.truncate(kept);
+    all.shrink_to_fit();
+    all
 }
 
 /// Reverse complement of a packed DNA k-mer.
@@ -114,46 +173,178 @@ pub fn canonical_kmer(kmer: u64, k: usize) -> u64 {
     kmer.min(revcomp_kmer(kmer, k))
 }
 
-/// Substitute k-mers for PASTIS: all k-mers at Hamming distance ≤ 1
-/// whose substituted position scores at least `min_sub_score` under
-/// BLOSUM62 (the original k-mer is included). This is the practical
-/// reading of the `S` matrix: quasi-exact seeds.
-pub fn substitute_kmers(kmer: u64, k: usize, min_sub_score: i32) -> Vec<u64> {
-    let alphabet = Alphabet::Protein;
-    let syms = unpack(kmer, k, alphabet);
-    let mut out = vec![kmer];
-    let b = bits(alphabet);
-    for (pos, &a) in syms.iter().enumerate() {
-        for r in 0..20u8 {
-            if r != a && BLOSUM62[a as usize][r as usize] as i32 >= min_sub_score {
-                let shift = b * (k - 1 - pos) as u32;
-                let mask = ((1u64 << b) - 1) << shift;
-                out.push((kmer & !mask) | ((r as u64) << shift));
-            }
+/// Calls `f(x)` for every sequence k-mer `x` that seeds `y`: `y`
+/// itself, then `y` with the residue `r` at one position replaced by
+/// each code of `subs[r]` (`subs` is empty when substitution is off,
+/// and has no entry for the ambiguous codes).
+#[inline]
+fn for_each_seed(y: u64, k: usize, b: u32, subs: &[Vec<u64>], mut f: impl FnMut(u64)) {
+    f(y);
+    if subs.is_empty() {
+        return;
+    }
+    let sym_mask = (1u64 << b) - 1;
+    for p in 0..k as u32 {
+        let shift = b * p;
+        let r = ((y >> shift) & sym_mask) as usize;
+        let hole = y & !(sym_mask << shift);
+        for &a in subs.get(r).map_or(&[][..], Vec::as_slice) {
+            f(hole | (a << shift));
         }
     }
-    out
+}
+
+/// One slot of [`KmerIndex`]'s table: a key and its id range
+/// `ids[lo..hi]`. An occupied slot always has `hi > 0`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    key: u64,
+    lo: u32,
+    hi: u32,
+}
+
+/// Inverted substitute-k-mer index: maps a sequence k-mer `x` to the
+/// ids of every reliable k-mer `y` it seeds.
+///
+/// Exact-only, `x` seeds `y` iff `x = y`. With substitution (PASTIS,
+/// protein only), `x` also seeds every `y` one conservative
+/// substitution away: at one position `y` has a residue `r < 20`
+/// where `x` has a code `a ≠ r` with `BLOSUM62[a][r] ≥ min_sub_score`
+/// — the `S` in `A S Aᵀ`. The expansion runs once over the reliable
+/// k-mers instead of once per sequence k-mer, and the table is open
+/// addressing with linear probing and a multiplicative (Fibonacci)
+/// hash, at most two-thirds full. The hash is unkeyed: k-mers crafted
+/// to collide lengthen probes but never change the ids returned.
+#[derive(Debug, Clone)]
+pub struct KmerIndex {
+    slots: Vec<Slot>,
+    shift: u32,
+    ids: Vec<u32>,
+}
+
+impl KmerIndex {
+    /// Builds the index over `reliable` (id = index). `min_sub_score`
+    /// turns substitution on; it is ignored for DNA.
+    ///
+    /// # Panics
+    /// If `k` is outside `1..=max_k(alphabet)`.
+    pub fn build(
+        reliable: &[u64],
+        k: usize,
+        alphabet: Alphabet,
+        min_sub_score: Option<i32>,
+    ) -> Self {
+        assert_k(k, alphabet);
+        // subs[r] = the codes a ≠ r with BLOSUM62[a][r] ≥ threshold,
+        // for the concrete residues r < 20 only.
+        let subs: Vec<Vec<u64>> = match (min_sub_score, alphabet) {
+            (Some(th), Alphabet::Protein) => (0..alphabet.concrete_codes())
+                .map(|r| {
+                    (0..PROTEIN_CODES)
+                        .filter(|&a| a != r && i32::from(BLOSUM62[a][r]) >= th)
+                        .map(|a| a as u64)
+                        .collect()
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        let b = bits(alphabet);
+        let mut pairs = 0usize;
+        for &y in reliable {
+            for_each_seed(y, k, b, &subs, |_| pairs += 1);
+        }
+        assert!(u32::try_from(pairs).is_ok(), "substitute index too large");
+        let log2 = (pairs + pairs / 2)
+            .max(2)
+            .next_power_of_two()
+            .trailing_zeros();
+        let mut index = Self {
+            slots: vec![Slot::default(); 1 << log2],
+            shift: 64 - log2,
+            ids: vec![0; pairs],
+        };
+        // Pass 1 counts each key's ids in `hi`; the prefix sum turns
+        // the counts into ranges with `lo` at the end, and pass 2
+        // fills each range back to front, leaving `lo` at its start.
+        for &y in reliable {
+            for_each_seed(y, k, b, &subs, |x| {
+                let slot = index.find_or_insert(x);
+                index.slots[slot].hi += 1;
+            });
+        }
+        let mut end = 0u32;
+        for s in index.slots.iter_mut().filter(|s| s.hi > 0) {
+            end += s.hi;
+            (s.lo, s.hi) = (end, end);
+        }
+        for (id, &y) in reliable.iter().enumerate() {
+            for_each_seed(y, k, b, &subs, |x| {
+                let slot = index.find(x).expect("inserted in pass 1");
+                let s = &mut index.slots[slot];
+                s.lo -= 1;
+                index.ids[s.lo as usize] = id as u32;
+            });
+        }
+        index
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `key`, or `None`.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let s = &self.slots[i];
+            if s.hi == 0 {
+                return None;
+            }
+            if s.key == key {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn find_or_insert(&mut self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        while self.slots[i].hi != 0 && self.slots[i].key != key {
+            i = (i + 1) & mask;
+        }
+        self.slots[i].key = key;
+        i
+    }
+
+    /// The ids of the reliable k-mers that sequence k-mer `x` seeds
+    /// (empty when it seeds none).
+    #[inline]
+    pub fn get(&self, x: u64) -> &[u32] {
+        match self.find(x) {
+            Some(i) => &self.ids[self.slots[i].lo as usize..self.slots[i].hi as usize],
+            None => &[],
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xdrop_core::alphabet::{encode_dna, encode_protein};
+    use xdrop_core::alphabet::{encode_dna, encode_protein, DNA_N};
 
-    #[test]
-    fn pack_unpack_roundtrip_dna() {
-        let s = encode_dna(b"ACGTACGTACGT");
-        for pos in 0..=s.len() - 8 {
-            let km = pack(&s, pos, 8, Alphabet::Dna);
-            assert_eq!(unpack(km, 8, Alphabet::Dna), &s[pos..pos + 8]);
+    /// Packs `seq[pos .. pos + k]` window by window: the reference
+    /// for the rolling iterator.
+    fn pack(seq: &[u8], pos: usize, k: usize, alphabet: Alphabet) -> u64 {
+        let b = bits(alphabet);
+        let mut out = 0u64;
+        for &s in &seq[pos..pos + k] {
+            out = (out << b) | s as u64;
         }
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip_protein() {
-        let s = encode_protein(b"MKTAYIAKQR");
-        let km = pack(&s, 2, 6, Alphabet::Protein);
-        assert_eq!(unpack(km, 6, Alphabet::Protein), &s[2..8]);
+        out
     }
 
     #[test]
@@ -163,40 +354,58 @@ mod tests {
     }
 
     #[test]
-    fn kmers_of_counts_and_positions() {
-        let s = encode_dna(b"ACGTAC");
-        let kms = kmers_of(&s, 4, Alphabet::Dna);
-        assert_eq!(kms.len(), 3);
-        assert_eq!(kms[0].1, 0);
-        assert_eq!(kms[2].1, 2);
-        assert!(kmers_of(&s, 7, Alphabet::Dna).is_empty());
+    fn rolling_kmers_match_pack() {
+        let dna = encode_dna(b"ACGTTGCACAGTCCATGACGTTGCACAGTCCATGAC");
+        for k in [1, 4, 17, 32] {
+            let got: Vec<(u64, u32)> = kmers(&dna, k, Alphabet::Dna).collect();
+            let want: Vec<(u64, u32)> = (0..=dna.len() - k)
+                .map(|p| (pack(&dna, p, k, Alphabet::Dna), p as u32))
+                .collect();
+            assert_eq!(got, want, "k = {k}");
+        }
+        // Protein keeps the ambiguous codes B/Z/X/*.
+        let prot = encode_protein(b"MKTAYBZX*IAKQR");
+        for k in [1, 6, 12] {
+            let got: Vec<(u64, u32)> = kmers(&prot, k, Alphabet::Protein).collect();
+            assert_eq!(got.len(), prot.len() + 1 - k);
+            for (km, p) in got {
+                assert_eq!(km, pack(&prot, p as usize, k, Alphabet::Protein));
+            }
+        }
+        assert_eq!(kmers(&dna[..3], 4, Alphabet::Dna).count(), 0);
     }
 
     #[test]
-    fn counting_dedups_within_sequence() {
+    fn dna_n_windows_are_skipped() {
+        let s = encode_dna(b"ACGNTTGCA");
+        assert_eq!(s[3], DNA_N);
+        let got: Vec<u32> = kmers(&s, 3, Alphabet::Dna).map(|(_, p)| p).collect();
+        // Windows 0 (ACG) and 4.. (TTG, TGC, GCA); none spans the N.
+        assert_eq!(got, vec![0, 4, 5, 6]);
+        // `AN` no longer packs to the value of `CA`.
+        let an = encode_dna(b"AN");
+        assert_eq!(kmers(&an, 2, Alphabet::Dna).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=32")]
+    fn kmers_reject_oversized_k() {
+        let _ = kmers(&[0; 40], 33, Alphabet::Dna);
+    }
+
+    #[test]
+    fn counting_dedups_within_sequence_and_filters_range() {
+        let k4 = |s: &[u8]| pack(&encode_dna(s), 0, 4, Alphabet::Dna);
         let a = encode_dna(b"AAAAAAAA"); // one distinct 4-mer, many copies
         let b = encode_dna(b"AAAACCCC");
-        let counts = count_kmers([a.as_slice(), b.as_slice()].into_iter(), 4, Alphabet::Dna);
-        let aaaa = pack(&encode_dna(b"AAAA"), 0, 4, Alphabet::Dna);
-        assert_eq!(counts[&aaaa], 2); // present in both, counted once each
-        let cccc = pack(&encode_dna(b"CCCC"), 0, 4, Alphabet::Dna);
-        assert_eq!(counts[&cccc], 1);
-    }
-
-    #[test]
-    fn reliable_range_filters() {
-        let a = encode_dna(b"ACGTACGT");
-        let seqs = [a.clone(), a.clone(), a.clone(), encode_dna(b"TTTTTTTT")];
-        let counts = count_kmers(seqs.iter().map(|s| s.as_slice()), 4, Alphabet::Dna);
-        // min 2: drops the TTTT-only k-mers; max 2: drops those in 3.
-        let r = reliable_kmers(&counts, 2, 2);
-        assert!(r.is_empty());
-        let r = reliable_kmers(&counts, 2, 3);
-        assert!(!r.is_empty());
-        // Dense ids 0..n.
-        let mut ids: Vec<u32> = r.values().copied().collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..r.len() as u32).collect::<Vec<_>>());
+        let seqs = [a.as_slice(), b.as_slice()];
+        // AAAA is in both sequences, counted once each; CCCC in one.
+        let two = reliable_kmers(seqs.into_iter(), 4, Alphabet::Dna, 2, 2);
+        assert_eq!(two, vec![k4(b"AAAA")]);
+        let one = reliable_kmers(seqs.into_iter(), 4, Alphabet::Dna, 1, 1);
+        assert!(one.contains(&k4(b"CCCC")) && !one.contains(&k4(b"AAAA")));
+        assert!(one.windows(2).all(|w| w[0] < w[1]), "sorted ids");
+        assert!(reliable_kmers(seqs.into_iter(), 4, Alphabet::Dna, 3, 9).is_empty());
     }
 
     #[test]
@@ -223,29 +432,31 @@ mod tests {
     }
 
     #[test]
-    fn substitute_kmers_include_original_and_conservative_subs() {
-        let s = encode_protein(b"WWWWWW");
-        let km = pack(&s, 0, 6, Alphabet::Protein);
-        let subs = substitute_kmers(km, 6, 2);
-        assert!(subs.contains(&km));
-        // W–Y scores 2 → substituting one W with Y must be present.
-        let y = encode_protein(b"Y")[0];
-        let mut with_y = s.clone();
-        with_y[3] = y;
-        let ky = pack(&with_y, 0, 6, Alphabet::Protein);
-        assert!(subs.contains(&ky));
-        // W–A scores −3 → must be absent.
-        let a = encode_protein(b"A")[0];
-        let mut with_a = s.clone();
-        with_a[0] = a;
-        assert!(!subs.contains(&pack(&with_a, 0, 6, Alphabet::Protein)));
+    fn substitute_index_seeds_conservative_neighbours() {
+        let p6 = |s: &[u8]| pack(&encode_protein(s), 0, 6, Alphabet::Protein);
+        let reliable = vec![p6(b"WWWWWW")];
+        let idx = KmerIndex::build(&reliable, 6, Alphabet::Protein, Some(2));
+        assert_eq!(idx.get(p6(b"WWWWWW")), &[0]);
+        // W–Y scores 2: a sequence k-mer with one Y seeds WWWWWW.
+        assert_eq!(idx.get(p6(b"WWWYWW")), &[0]);
+        // W–A scores −3; two substitutions are never seeds.
+        assert!(idx.get(p6(b"AWWWWW")).is_empty());
+        assert!(idx.get(p6(b"WYWYWW")).is_empty());
+        // A high threshold or DNA leaves only the exact k-mer.
+        let exact = KmerIndex::build(&reliable, 6, Alphabet::Protein, Some(100));
+        assert!(exact.get(p6(b"WWWYWW")).is_empty());
+        assert_eq!(exact.get(p6(b"WWWWWW")), &[0]);
     }
 
     #[test]
-    fn substitute_kmers_high_threshold_only_original() {
-        let s = encode_protein(b"AAAAAA");
-        let km = pack(&s, 0, 6, Alphabet::Protein);
-        let subs = substitute_kmers(km, 6, 100);
-        assert_eq!(subs, vec![km]);
+    fn index_handles_all_ones_and_empty_keys() {
+        // TTTT…T packs to u64::MAX at k = 32; key 0 is AAAA…A.
+        let reliable = vec![0, u64::MAX];
+        let idx = KmerIndex::build(&reliable, 32, Alphabet::Dna, Some(1));
+        assert_eq!(idx.get(0), &[0]);
+        assert_eq!(idx.get(u64::MAX), &[1]);
+        assert!(idx.get(1).is_empty());
+        let empty = KmerIndex::build(&[], 32, Alphabet::Dna, None);
+        assert!(empty.get(0).is_empty());
     }
 }

@@ -18,9 +18,9 @@
 //!
 //! * [`spmat`] — a CSR sparse matrix with transpose and a generic
 //!   row-wise SpGEMM (the CombBLAS role).
-//! * [`kmer`] — packed k-mer extraction, counting, reliable-range
-//!   filtering, and BLOSUM62 neighbour enumeration for substitute
-//!   k-mers.
+//! * [`kmer`] — rolling packed k-mer extraction, sort-based counting
+//!   with reliable-range filtering, and the inverted BLOSUM62
+//!   substitute-k-mer index (one probe per sequence k-mer).
 //! * [`overlap`] — overlap detection: `A Aᵀ` over the k-mer matrix,
 //!   with the ≥ 2 shared seeds requirement both pipelines use.
 

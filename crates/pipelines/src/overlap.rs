@@ -14,7 +14,6 @@
 
 use crate::kmer;
 use crate::spmat::{spgemm, Csr};
-use xdrop_core::alphabet::Alphabet;
 use xdrop_core::extension::SeedMatch;
 use xdrop_core::workload::{Comparison, SeqSet, Workload};
 
@@ -82,39 +81,54 @@ struct OverlapAcc {
 ///
 /// Returns the matrix and the number of reliable k-mers. With
 /// substitution enabled, a sequence's row also contains entries for
-/// the conservative single-substitution neighbours of its k-mers
-/// (at the same position).
+/// the reliable k-mers its k-mers seed by one conservative
+/// substitution (at the same position). Counting sorts, and each
+/// sequence k-mer costs one probe of the inverted [`kmer::KmerIndex`].
+///
+/// # Panics
+/// If `cfg.k` is outside `1..=kmer::max_k(seqs.alphabet)`.
 pub fn build_kmer_matrix(seqs: &SeqSet, cfg: &OverlapConfig) -> (Csr<u32>, usize) {
     let alphabet = seqs.alphabet;
-    let counts = kmer::count_kmers(seqs.iter().map(|(_, s)| s), cfg.k, alphabet);
-    let ids = kmer::reliable_kmers(&counts, cfg.min_kmer_freq, cfg.max_kmer_freq);
+    let reliable = kmer::reliable_kmers(
+        seqs.iter().map(|(_, s)| s),
+        cfg.k,
+        alphabet,
+        cfg.min_kmer_freq,
+        cfg.max_kmer_freq,
+    );
+    let index = kmer::KmerIndex::build(&reliable, cfg.k, alphabet, cfg.substitute_min_score);
     let mut triplets: Vec<(u32, u32, u32)> = Vec::new();
     for (sid, s) in seqs.iter() {
-        for (km, pos) in kmer::kmers_of(s, cfg.k, alphabet) {
-            let emit: Vec<u64> = match (cfg.substitute_min_score, alphabet) {
-                (Some(th), Alphabet::Protein) => kmer::substitute_kmers(km, cfg.k, th),
-                _ => vec![km],
-            };
-            for e in emit {
-                if let Some(&mid) = ids.get(&e) {
-                    triplets.push((sid, mid, pos));
-                }
-            }
+        for (km, pos) in kmer::kmers(s, cfg.k, alphabet) {
+            triplets.extend(index.get(km).iter().map(|&mid| (sid, mid, pos)));
         }
     }
     // Keep the *first* position when a k-mer repeats in a sequence.
-    let n = ids.len();
+    let n = reliable.len();
     let m = Csr::from_triplets(seqs.len(), n, triplets, |a, b| *a = (*a).min(b));
     (m, n)
 }
 
 /// Detects overlaps and returns them as an alignment [`Workload`]
 /// sharing the input sequence pool.
+///
+/// # Panics
+/// If `cfg.k` is outside `1..=kmer::max_k(seqs.alphabet)` (32 for
+/// DNA, 12 for protein): a longer k-mer does not fit the packed
+/// `u64`, and truncating it would seed on a shorter k than labelled.
 pub fn detect_overlaps(seqs: &SeqSet, cfg: &OverlapConfig) -> Workload {
+    kmer::assert_k(cfg.k, seqs.alphabet);
     let (a, _) = build_kmer_matrix(seqs, cfg);
+    overlaps_from_matrix(seqs, cfg, &a)
+}
+
+/// The overlap stage after [`build_kmer_matrix`]: forms `C = A Aᵀ`
+/// from the k-mer position matrix `a` and keeps the pairs with at
+/// least `cfg.min_seeds` shared k-mers as comparisons.
+pub fn overlaps_from_matrix(seqs: &SeqSet, cfg: &OverlapConfig, a: &Csr<u32>) -> Workload {
     let at = a.transpose();
     let c = spgemm(
-        &a,
+        a,
         &at,
         |&pa, &pb| OverlapAcc {
             count: 1,

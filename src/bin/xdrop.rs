@@ -13,7 +13,8 @@
 //! `b` (seed-free semi-global extension from the sequence starts)
 //! and prints scores, band widths and memory; `--traceback` adds a
 //! CIGAR. `simulate` writes a synthetic long-read set; `assemble`
-//! runs the ELBA-mini pipeline on a FASTA of reads; `stats` prints
+//! runs the ELBA-mini pipeline on a FASTA of reads (k-mer length
+//! `--k` in `1..=32`, default 17); `stats` prints
 //! per-file sequence statistics.
 
 use std::fs::File;
@@ -29,6 +30,7 @@ use xdrop_ipu::data::fasta;
 use xdrop_ipu::data::gen::MutationProfile;
 use xdrop_ipu::data::reads::{simulate_reads, LowComplexity, ReadSimParams};
 use xdrop_ipu::pipelines::elba::{run_elba_from_workload, ElbaConfig};
+use xdrop_ipu::pipelines::kmer;
 use xdrop_ipu::pipelines::overlap::{detect_overlaps, OverlapConfig};
 
 fn usage() -> ! {
@@ -287,6 +289,12 @@ fn cmd_assemble(args: &[String]) {
         .get("k")
         .map(|v| v.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(17);
+    // A DNA k-mer packs 2 bits per base into a u64.
+    let max_k = kmer::max_k(Alphabet::Dna);
+    if !(1..=max_k).contains(&k) {
+        eprintln!("error: --k {k} outside 1..={max_k}");
+        usage();
+    }
     let aligner = o
         .flags
         .get("aligner")

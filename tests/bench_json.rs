@@ -19,12 +19,14 @@
 //! batched rows' `sweep_backend` column, and one pinned `backend-*`
 //! row per register backend the producing host supports — the
 //! batched-win bar is gated on the recorded SIMD tier (the win is
-//! lane-level and single-threaded, so core counts are irrelevant).
+//! lane-level and single-threaded, so core counts are irrelevant);
+//! v8 adds the overlap-detection section (`overlap`), gated on its
+//! deterministic counts only.
 //! Regenerate the kernel rows and
 //! the batched section with `cargo run --release -p xdrop-bench
 //! --bin experiments -- bench --bench-json` and the
-//! e2e/partition/faults/scaling rows with the same command using
-//! `e2e`, `partition`, `faults` or `scaling`.
+//! e2e/partition/faults/scaling/overlap rows with the same command
+//! using `e2e`, `partition`, `faults`, `scaling` or `overlap`.
 
 use xdrop_bench::exp::batchbench::{BATCHED_REPRO_COMMAND, V5_STAGED_BYTES_PER_CELL};
 use xdrop_bench::exp::e2e::E2E_REPRO_COMMAND;
@@ -33,6 +35,7 @@ use xdrop_bench::exp::fleetscale::{
     SCALING_CONTENTION_ETA, SCALING_DEVICE_SWEEP, SCALING_REPRO_COMMAND, SCALING_WINDOW_COMPARISONS,
 };
 use xdrop_bench::exp::kernelbench::{BenchFile, REPRO_COMMAND, SCHEMA};
+use xdrop_bench::exp::overlapbench::{OVERLAP_PASTIS_PROTEINS, OVERLAP_REPRO_COMMAND};
 use xdrop_bench::exp::partbench::{PARTITION_REPRO_COMMAND, SHARD_SWEEP, THREAD_COUNTS};
 use xdrop_ipu::partition::DEFAULT_SHARD_COUNT;
 
@@ -560,4 +563,39 @@ fn committed_baseline_shows_streaming_win() {
             row.speedup_vs_reference
         );
     }
+}
+
+#[test]
+fn overlap_section_is_well_formed() {
+    let file = load();
+    let section = file.overlap.as_ref().unwrap_or_else(|| {
+        panic!(
+            "overlap section missing from BENCH_xdrop.json; regenerate with \
+             `{OVERLAP_REPRO_COMMAND}`"
+        )
+    });
+    assert_eq!(section.command, OVERLAP_REPRO_COMMAND);
+    assert!(
+        ["avx512bw", "avx2", "sse4.1", "sse2", "neon", "generic"]
+            .contains(&section.host_simd.as_str()),
+        "unknown host_simd capability {:?}",
+        section.host_simd
+    );
+    let names: Vec<&str> = section.rows.iter().map(|r| r.dataset.as_str()).collect();
+    assert_eq!(names, ["pastis", "elba"]);
+    // Counts only: the rows are deterministic, while host seconds on
+    // shared CI runners are too noisy for a throughput floor.
+    for r in &section.rows {
+        assert!(r.sequences > 0 && r.reliable_kmers > 0, "{}", r.dataset);
+        // Every reliable k-mer is some sequence k-mer, and each
+        // sequence k-mer is one probe.
+        assert!(r.probes >= r.reliable_kmers as u64, "{}", r.dataset);
+        assert!(r.candidates > 0, "{}", r.dataset);
+        assert!(r.seconds > 0.0 && r.host_cores >= 1, "{}", r.dataset);
+    }
+    // The PASTIS row is the `pastis-x49` benchmark input at seed 7,
+    // whose candidate count the benchmark pins.
+    let pastis = &section.rows[0];
+    assert_eq!(pastis.sequences, OVERLAP_PASTIS_PROTEINS);
+    assert_eq!(pastis.candidates, 6049);
 }
